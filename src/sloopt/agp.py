@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, as_vector, check_finite
+from .core import ObjectiveOracle, as_vector, check_finite, project_ball
 
 _BOUNDARY_TOL = 1e-12
 
@@ -55,11 +55,7 @@ class AgpRegion:
         return d >= self.inner_radius * (1 - _BOUNDARY_TOL)
 
     def project(self, x):
-        offset = x - self.center
-        d = float(np.linalg.norm(offset))
-        if d <= self.inner_radius:
-            return np.array(x, dtype=float)
-        return self.center + offset * (self.inner_radius / d)
+        return project_ball(x, self.center, self.inner_radius)
 
 
 @dataclass
@@ -123,8 +119,7 @@ def certify_progress(f_hat, region: AgpRegion, y0, yt, l1_hat, alpha, kappa, t,
     z = yt - g / l1_hat
     if not region.is_interior(z):
         return region.project(z)
-    dz = z - y0
-    psi = f_hat.value(y0) - f_hat.value(z) + 0.5 * alpha * float(np.dot(dz, dz))
+    psi = _psi(f_hat, y0, z, alpha)
     if float(np.dot(g, g)) > 2.0 * l1_hat * psi * math.exp(-t / math.sqrt(kappa)):
         return z
     return None

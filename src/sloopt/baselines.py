@@ -3,14 +3,11 @@ gradient with the polynomial adaptation h(x) = ||x||^n/n + ||x||^2/2."""
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CountingOracle, IterationRecord, ObjectiveOracle,
-                   RunResult, Termination, as_vector)
+from .core import ObjectiveOracle, RunResult, as_vector, drive
 
 
 @dataclass
@@ -72,56 +69,25 @@ def bpg_step(oracle: ObjectiveOracle, x, config: BpgConfig):
     return -rho * g
 
 
-def _trace_run(counting, x0, step_fn, stop_grad_tol, max_iters,
-               max_grad_evals, time_budget_s, diverge_check=False):
-    x = as_vector(x0).copy()
-    t0 = time.monotonic()
-    trace = []
-    f_prev = None
-    termination = Termination.EpochBudget
-    for t in range(max_iters + 1):
-        f = counting.base.value(x)
-        g = counting.gradient(x)
-        gnorm = float(np.linalg.norm(g))
-        trace.append(IterationRecord(
-            epoch=1, iter=t, f_value=f, grad_norm=gnorm,
-            dist_from_anchor=float(np.linalg.norm(x - as_vector(x0))),
-            cum_grad_evals=counting.grad_evals,
-            elapsed_s=time.monotonic() - t0,
-        ))
-        if diverge_check and (not math.isfinite(f) or not np.all(np.isfinite(x))
-                              or (f_prev is not None and f - f_prev > 1e12)):
-            return RunResult(x, gnorm, Termination.Diverged, trace, 0)
-        f_prev = f
-        if gnorm <= stop_grad_tol:
-            return RunResult(x, gnorm, Termination.GradientTolerance, trace, 0)
-        if counting.grad_evals >= max_grad_evals:
-            return RunResult(x, gnorm, Termination.EvalBudget, trace, 0)
-        if time_budget_s is not None and time.monotonic() - t0 > time_budget_s:
-            return RunResult(x, gnorm, Termination.TimeBudget, trace, 0)
-        if t == max_iters:
-            break
-        x = step_fn(x, g)
-    gnorm = trace[-1].grad_norm
-    return RunResult(x, gnorm, termination, trace, 0)
-
-
 def gd_fixed(oracle: ObjectiveOracle, x0, step, stop_grad_tol=1e-8,
              max_iters=100_000, max_grad_evals=1_000_000,
              time_budget_s=None) -> RunResult:
-    """Plain x <- x - step * grad(x) with divergence detection."""
+    """Plain x <- x - step * grad(x): one epoch that never closes."""
     if step <= 0:
         raise ValueError("step must be positive")
-    counting = CountingOracle(oracle)
-    return _trace_run(counting, x0, lambda x, g: x - step * g,
-                      stop_grad_tol, max_iters, max_grad_evals,
-                      time_budget_s, diverge_check=True)
+
+    def start_epoch(counting, anchor, tau):
+        return lambda x, g: (x - step * g, False)
+
+    return drive(oracle, x0, start_epoch, stop_grad_tol, max_grad_evals,
+                 time_budget_s, max_iters=max_iters)
 
 
 def run_bpg(oracle: ObjectiveOracle, x0, config: BpgConfig,
             max_grad_evals=1_000_000, time_budget_s=None) -> RunResult:
-    counting = CountingOracle(oracle)
-    return _trace_run(counting, x0,
-                      lambda x, g: bpg_step(counting, x, config),
-                      config.stop_grad_tol,
-                      config.max_iters, max_grad_evals, time_budget_s)
+    """Bregman proximal gradient steps: one epoch that never closes."""
+    def start_epoch(counting, anchor, tau):
+        return lambda x, g: (bpg_step(counting, x, config), False)
+
+    return drive(oracle, x0, start_epoch, config.stop_grad_tol, max_grad_evals,
+                 time_budget_s, max_iters=config.max_iters)

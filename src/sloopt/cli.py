@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import METHODS, ExperimentSpec, run_experiment
+from .harness import METHODS, PROBLEMS, ExperimentSpec, run_experiment
 
 _SPEC_KEYS = {
     "problem": str, "rounds": int, "epsilon": float, "radius": float,
@@ -40,14 +40,9 @@ def build_spec(file_values, args) -> ExperimentSpec:
             kwargs[key] = _SPEC_KEYS[key](val)
         else:
             params[key] = val
-    flag_map = {
-        "problem": args.problem, "epsilon": args.epsilon, "radius": args.radius,
-        "margin": args.margin, "rounds": args.rounds, "seed": args.seed,
-        "budget_evals": args.budget_evals, "budget_seconds": args.budget_seconds,
-        "output_dir": args.out,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
+    # each flag's dest is its spec field; flags override the config file
+    for key, val in vars(args).items():
+        if key in _SPEC_KEYS and val is not None:
             kwargs[key] = val
     if args.method is not None:
         kwargs["methods"] = tuple(v.strip() for v in args.method.split(","))
@@ -61,8 +56,7 @@ def main(argv=None) -> int:
         description="run multi-round optimization benchmarks and write "
                     "trace CSVs plus a best/average summary")
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--problem",
-                        choices=["tensor", "autoencoder", "supervised", "quartic"])
+    parser.add_argument("--problem", choices=PROBLEMS)
     parser.add_argument("--method",
                         help=f"comma-separated subset of {','.join(METHODS)}")
     parser.add_argument("--epsilon", type=float)
@@ -72,7 +66,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--budget-evals", type=int, dest="budget_evals")
     parser.add_argument("--budget-seconds", type=float, dest="budget_seconds")
-    parser.add_argument("--out")
+    parser.add_argument("--out", dest="output_dir")
     args = parser.parse_args(argv)
     try:
         file_values = parse_config_file(args.config) if args.config else {}
@@ -85,6 +79,8 @@ def main(argv=None) -> int:
         print("%-12s best_grad=%.6e avg_grad=%.6e best_gap=%.6e avg_gap=%.6e"
               % (method, stats["best_grad_norm"], stats["avg_grad_norm"],
                  stats["best_f_gap"], stats["avg_f_gap"]))
+    for run_id in summary["diverged"]:
+        print(f"DIVERGED {run_id}")
     for run_id, msg in sorted(summary.get("errors", {}).items()):
         print(f"FAILED {run_id}: {msg}")
     return 2 if summary.get("errors") else 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,7 @@ def as_vector(x) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise EvaluationError("vector contains NaN or infinite entries")
-    return v
+    return check_finite(v)
 
 
 def check_finite(v: np.ndarray, what: str = "vector") -> np.ndarray:
@@ -63,6 +62,7 @@ class CountingOracle(ObjectiveOracle):
 
     A one-entry memo makes repeated gradient queries at the same point
     free, so the solver loop and its subroutines do not double-charge.
+    Every caller gets the same memoized array, so it is returned read-only.
     """
 
     def __init__(self, base: ObjectiveOracle):
@@ -87,7 +87,8 @@ class CountingOracle(ObjectiveOracle):
         key = x.tobytes()
         if key == self._memo_key:
             return self._memo_grad
-        g = check_finite(self.base.gradient(x), "gradient")
+        g = check_finite(self.base.gradient(x), "gradient").view()
+        g.flags.writeable = False
         self.grad_evals += 1
         self._memo_key = key
         self._memo_grad = g
@@ -106,6 +107,7 @@ class Termination(enum.Enum):
     EpochBudget = "epoch_budget"
     EvalBudget = "eval_budget"
     TimeBudget = "time_budget"
+    IterationBudget = "iteration_budget"
     Diverged = "diverged"
 
 
@@ -193,6 +195,72 @@ class RunResult:
     termination: Termination
     trace: list[IterationRecord] = field(default_factory=list)
     epochs_completed: int = 0
+
+
+def project_ball(x: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
+    """Radial projection onto the closed ball B(center, r); x itself when inside."""
+    offset = x - center
+    dist = float(np.linalg.norm(offset))
+    return x if dist <= r else center + offset * (r / dist)
+
+
+def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
+          max_grad_evals: int, time_budget_s: float | None = None,
+          max_epochs: int = 1, max_iters: int | None = None) -> RunResult:
+    """The solver loop of every method: traced epochs of steps until a stop.
+
+    Epoch tau opens at the current iterate, its anchor, with
+    ``start_epoch(counting_oracle, anchor, tau)``, which does the epoch's
+    set-up and returns its step ``(x, grad) -> (next x, epoch closes)``.
+    Every iterate gets a trace row. The run stops at ``||grad|| < tol``, on
+    divergence (non-finite f or a rise above 1e12), or when the gradient
+    evaluation, time, iteration or epoch budget is spent, checked in that
+    order. After ``max_epochs`` closed epochs the final point is traced once
+    more, as the first row of epoch ``max_epochs + 1``.
+    """
+    counting = CountingOracle(oracle)
+    x = as_vector(x_start).copy()
+    t0 = time.monotonic()
+    trace: list[IterationRecord] = []
+    f_prev = math.inf
+    steps = closed = 0
+    while True:
+        anchor = x.copy()
+        step = start_epoch(counting, anchor, closed + 1) if closed < max_epochs else None
+        k = 0
+        while True:
+            g = counting.gradient(x)
+            g_norm = float(np.linalg.norm(g))
+            f = counting.base.value(x)
+            trace.append(IterationRecord(
+                epoch=closed + 1, iter=k, f_value=f, grad_norm=g_norm,
+                dist_from_anchor=float(np.linalg.norm(x - anchor)),
+                cum_grad_evals=counting.grad_evals,
+                elapsed_s=time.monotonic() - t0,
+            ))
+            if g_norm < tol:
+                stop = Termination.GradientTolerance
+            elif not math.isfinite(f) or f - f_prev > 1e12:
+                stop = Termination.Diverged
+            elif counting.grad_evals >= max_grad_evals:
+                stop = Termination.EvalBudget
+            elif time_budget_s is not None and time.monotonic() - t0 > time_budget_s:
+                stop = Termination.TimeBudget
+            elif steps == max_iters:
+                stop = Termination.IterationBudget
+            elif step is None:
+                stop = Termination.EpochBudget
+            else:
+                stop = None
+            if stop is not None:
+                return RunResult(x, g_norm, stop, trace, closed)
+            f_prev = f
+            x, closes = step(x, g)
+            steps += 1
+            k += 1
+            if closes:
+                closed += 1
+                break
 
 
 def finite_diff_gradient(oracle: ObjectiveOracle, x: np.ndarray, h: float) -> np.ndarray:

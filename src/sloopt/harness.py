@@ -11,12 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, problems, slo
-from .core import SloConfig, Subroutine
+from .core import SloConfig, Subroutine, Termination
 
 CSV_HEADER = ["round", "epoch", "iter", "grad_evals", "elapsed_s",
               "f_value", "grad_norm", "dist_from_anchor"]
-
-METHODS = ("gd", "bpg", "pgd", "ngd", "ls", "agp")
 
 
 @dataclass
@@ -44,23 +42,18 @@ class ExperimentSpec:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if self.problem not in ("tensor", "autoencoder", "supervised", "quartic"):
+        if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem: {self.problem}")
 
 
-def build_problem(spec: ExperimentSpec):
-    """Instantiate the oracle; returns (oracle, f_star or None)."""
-    p = spec.problem_params
-    if spec.problem == "quartic":
-        return problems.QuarticProblem(int(p.get("quartic_dim", 1))), 0.0
-    if spec.problem == "tensor":
-        d = int(p.get("tensor_d", 4))
-        k = int(p.get("tensor_k", 3))
-        m = int(p.get("tensor_m", 2))
-        prob, _ = problems.generate_planted_tensor(
-            d, k, m, float(p.get("scale_low", 0.5)),
-            float(p.get("scale_high", 1.5)), spec.seed)
-        return prob, 0.0
+def _tensor_problem(spec: ExperimentSpec, p: dict):
+    prob, _ = problems.generate_planted_tensor(
+        int(p.get("tensor_d", 4)), int(p.get("tensor_k", 3)), int(p.get("tensor_m", 2)),
+        float(p.get("scale_low", 0.5)), float(p.get("scale_high", 1.5)), spec.seed)
+    return prob, 0.0
+
+
+def _net_problem(spec: ExperimentSpec, p: dict):
     # net_layers lists the layer widths input-first, e.g. "6,4,4,6"
     widths = [int(v) for v in str(p.get("net_layers", "6,4,4,6")).split(",")]
     shapes = [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
@@ -73,44 +66,57 @@ def build_problem(spec: ExperimentSpec):
     return problems.LinearNetProblem(data_x, shapes, "supervised", labels), 0.0
 
 
-def _slo_config(spec: ExperimentSpec, method: str) -> SloConfig:
-    eps, D, d = spec.epsilon, spec.radius, spec.margin
-    root_eps = math.sqrt(eps)
-    common = dict(epsilon=eps, seed=spec.seed,
-                  max_total_grad_evals=spec.budget_evals,
-                  time_budget_s=spec.budget_seconds)
-    if method == "pgd":
-        return SloConfig(radius_D=max(D, root_eps / 2), margin_d=0.0,
-                         subroutine=Subroutine.GP, **common)
-    if method == "ngd":
-        d = d if d >= root_eps else root_eps
-        return SloConfig(radius_D=max(D, root_eps / 2 + 2 * d), margin_d=d,
-                         subroutine=Subroutine.NGD, **common)
-    if method == "ls":
-        D = max(D, 2 * root_eps)
-        return SloConfig(radius_D=D, margin_d=D, subroutine=Subroutine.LS,
-                         ls_delta_bar=D, **common)
-    d = 2.0 * eps ** 0.25
-    return SloConfig(radius_D=max(D, 3 * d), margin_d=d,
-                     subroutine=Subroutine.AGP, **common)
+# The problem names: each maps (spec, problem_params) to (oracle, f_star or None).
+PROBLEMS = {"tensor": _tensor_problem, "autoencoder": _net_problem, "supervised": _net_problem,
+            "quartic": lambda spec, p: (problems.QuarticProblem(int(p.get("quartic_dim", 1))), 0.0)}
 
 
-def _run_method(spec: ExperimentSpec, method: str, oracle, x0):
-    if method == "gd":
-        return baselines.gd_fixed(
-            oracle, x0, spec.gd_step,
-            stop_grad_tol=math.sqrt(spec.epsilon),
-            max_grad_evals=spec.budget_evals,
-            time_budget_s=spec.budget_seconds)
-    if method == "bpg":
-        if spec.bpg_l is None or spec.bpg_n is None:
-            raise ValueError("bpg requires bpg_n and bpg_l")
-        config = baselines.BpgConfig(spec.bpg_n, spec.bpg_l,
-                                     stop_grad_tol=math.sqrt(spec.epsilon))
-        return baselines.run_bpg(oracle, x0, config,
-                                 max_grad_evals=spec.budget_evals,
-                                 time_budget_s=spec.budget_seconds)
-    return slo.run_slo(oracle, x0, _slo_config(spec, method))
+def build_problem(spec: ExperimentSpec):
+    """Instantiate the oracle; returns (oracle, f_star or None)."""
+    return PROBLEMS[spec.problem](spec, spec.problem_params)
+
+
+def _run_gd(spec: ExperimentSpec, oracle, x0):
+    return baselines.gd_fixed(
+        oracle, x0, spec.gd_step, stop_grad_tol=math.sqrt(spec.epsilon),
+        max_grad_evals=spec.budget_evals, time_budget_s=spec.budget_seconds)
+
+
+def _run_bpg(spec: ExperimentSpec, oracle, x0):
+    if spec.bpg_l is None or spec.bpg_n is None:
+        raise ValueError("bpg requires bpg_n and bpg_l")
+    config = baselines.BpgConfig(spec.bpg_n, spec.bpg_l, stop_grad_tol=math.sqrt(spec.epsilon))
+    return baselines.run_bpg(oracle, x0, config, max_grad_evals=spec.budget_evals,
+                             time_budget_s=spec.budget_seconds)
+
+
+def _run_slo(sub: Subroutine):
+    """Runner of the epoch solver with subroutine ``sub``; the spec's radius
+    and margin are widened to what the subroutine requires."""
+    def run(spec: ExperimentSpec, oracle, x0):
+        eps, D, d = spec.epsilon, spec.radius, spec.margin
+        root_eps = math.sqrt(eps)
+        if sub is Subroutine.GP:
+            D, d = max(D, root_eps / 2), 0.0
+        elif sub is Subroutine.NGD:
+            d = max(d, root_eps)
+            D = max(D, root_eps / 2 + 2 * d)
+        elif sub is Subroutine.LS:
+            D = d = max(D, 2 * root_eps)
+        else:
+            d = 2.0 * eps ** 0.25
+            D = max(D, 3 * d)
+        return slo.run_slo(oracle, x0, SloConfig(
+            epsilon=eps, radius_D=D, margin_d=d, subroutine=sub, ls_delta_bar=D,
+            seed=spec.seed, max_total_grad_evals=spec.budget_evals,
+            time_budget_s=spec.budget_seconds))
+    return run
+
+
+# The method names: each maps (spec, oracle, x0) to a RunResult.
+METHODS = {"gd": _run_gd, "bpg": _run_bpg, "pgd": _run_slo(Subroutine.GP),
+           "ngd": _run_slo(Subroutine.NGD), "ls": _run_slo(Subroutine.LS),
+           "agp": _run_slo(Subroutine.AGP)}
 
 
 def _write_csv(path, round_idx, trace):
@@ -131,22 +137,28 @@ def run_experiment(spec: ExperimentSpec):
     os.makedirs(spec.output_dir, exist_ok=True)
     oracle, f_star = build_problem(spec)
     csv_paths = []
+    diverged = []
     errors = {}
     for r in range(1, spec.rounds + 1):
         x0 = problems.uniform_init(oracle.dim, spec.init_c, spec.seed + r)
         for method in spec.methods:
             path = os.path.join(spec.output_dir, f"{method}_round{r:02d}.csv")
             try:
-                result = _run_method(spec, method, oracle, x0)
+                result = METHODS[method](spec, oracle, x0)
             except Exception as exc:  # record and move on
                 errors[(method, r)] = f"{type(exc).__name__}: {exc}"
                 continue
             _write_csv(path, r, result.trace)
-            csv_paths.append(path)
+            # a diverged run keeps its trace but stays out of best/avg and f_star
+            if result.termination is Termination.Diverged:
+                diverged.append(f"{method}/round{r}")
+            else:
+                csv_paths.append(path)
             if spec.svg and r == 1:
                 write_svg(os.path.join(spec.output_dir, f"{method}_round01.svg"),
                           result.trace)
     summary = summarize(csv_paths, f_star=f_star)
+    summary["diverged"] = sorted(diverged)
     summary["errors"] = {f"{m}/round{r}": msg for (m, r), msg in errors.items()}
     _write_summary(spec.output_dir, summary)
     return summary
@@ -198,6 +210,7 @@ def _write_summary(output_dir, summary):
     for m, stats in sorted(summary["methods"].items()):
         lines.append("%-12s %14.6e %14.6e %14.6e %14.6e"
                      % tuple([m] + [stats[c] for c in cols]))
+    lines += [f"DIVERGED {run_id}" for run_id in summary.get("diverged", [])]
     for run_id, msg in sorted(summary.get("errors", {}).items()):
         lines.append(f"FAILED {run_id}: {msg}")
     with open(os.path.join(output_dir, "summary.txt"), "w") as fh:

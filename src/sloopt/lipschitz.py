@@ -56,6 +56,25 @@ def _max_ratio(diff_fn, points, center):
     return max(1.0, best)
 
 
+def _estimate(order, oracle, center, radius, n_samples, seed, make_diff):
+    """Shared body of the estimators: the analytic bound when the oracle has
+    one, else the max ratio over sample pairs of ``make_diff(rng)``, a
+    difference function built from the generator after the points are drawn."""
+    center = as_vector(center)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    growth = oracle.growth1 if order == 1 else oracle.growth2
+    if growth is not None:
+        r = float(np.linalg.norm(center - oracle.anchor)) + radius
+        return LipschitzEstimate(order, max(1.0, float(growth(r))), center, radius, "analytic")
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples without analytic growth")
+    rng = np.random.default_rng(seed)
+    points = _sample_ball(rng, center, radius, n_samples)
+    value = _max_ratio(make_diff(rng), points, center)
+    return LipschitzEstimate(order, value, center, radius, "sampled", n_samples, seed)
+
+
 def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -> LipschitzEstimate:
     """Gradient-Lipschitz constant over B(center, radius).
 
@@ -64,23 +83,10 @@ def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -
     sample pairs is returned, floored at 1. Sampled values are a lower bound
     of the true supremum; callers are expected to apply a safety factor.
     """
-    center = as_vector(center)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if oracle.growth1 is not None:
-        r = float(np.linalg.norm(center - oracle.anchor)) + radius
-        return LipschitzEstimate(1, max(1.0, float(oracle.growth1(r))),
-                                 center, radius, "analytic")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples without analytic growth")
-    rng = np.random.default_rng(seed)
-    points = _sample_ball(rng, center, radius, n_samples)
-
     def grad_diff(a, b):
         return float(np.linalg.norm(oracle.gradient(a) - oracle.gradient(b)))
 
-    value = _max_ratio(grad_diff, points, center)
-    return LipschitzEstimate(1, value, center, radius, "sampled", n_samples, seed)
+    return _estimate(1, oracle, center, radius, n_samples, seed, lambda rng: grad_diff)
 
 
 def estimate_l2(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -> LipschitzEstimate:
@@ -89,26 +95,15 @@ def estimate_l2(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -
     The sampled path probes Hessian-vector products along one seeded random
     unit direction via central differences of the gradient.
     """
-    center = as_vector(center)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if oracle.growth2 is not None:
-        r = float(np.linalg.norm(center - oracle.anchor)) + radius
-        return LipschitzEstimate(2, max(1.0, float(oracle.growth2(r))),
-                                 center, radius, "analytic")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples without analytic growth")
-    rng = np.random.default_rng(seed)
-    points = _sample_ball(rng, center, radius, n_samples)
-    probe = rng.standard_normal(center.size)
-    probe /= np.linalg.norm(probe)
     h = 1e-4 * radius
 
-    def hess_vec(p):
-        return (oracle.gradient(p + h * probe) - oracle.gradient(p - h * probe)) / (2.0 * h)
+    def hv_diff(rng):
+        probe = rng.standard_normal(np.size(center))
+        probe /= np.linalg.norm(probe)
 
-    def hv_diff(a, b):
-        return float(np.linalg.norm(hess_vec(a) - hess_vec(b)))
+        def hess_vec(p):
+            return (oracle.gradient(p + h * probe) - oracle.gradient(p - h * probe)) / (2.0 * h)
 
-    value = _max_ratio(hv_diff, points, center)
-    return LipschitzEstimate(2, value, center, radius, "sampled", n_samples, seed)
+        return lambda a, b: float(np.linalg.norm(hess_vec(a) - hess_vec(b)))
+
+    return _estimate(2, oracle, center, radius, n_samples, seed, hv_diff)

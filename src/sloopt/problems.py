@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import EvaluationError, ObjectiveOracle, as_vector
+from .core import ObjectiveOracle, as_vector
 
 # Dense tensors only; the largest instance we target is d=8, k=5 (32768 entries).
 MAX_TENSOR_ENTRIES = 1_000_000
@@ -280,23 +278,6 @@ def generate_planted_labels(layer_dims, data_X, seed):
     for m in mats:
         y = m @ y
     return y, mats
-
-
-def save_tensor_problem(problem: SymTensorProblem, path):
-    """Flat text format: header line 'd,k,m', then entries in row-major order."""
-    with open(path, "w") as fh:
-        fh.write(f"{problem.dim_d},{problem.order_k},{problem.rank_m}\n")
-        for v in problem.tensor.reshape(-1):
-            fh.write(f"{v:.17g}\n")
-
-
-def load_tensor_problem(path) -> SymTensorProblem:
-    with open(path) as fh:
-        d, k, m = (int(s) for s in fh.readline().split(","))
-        entries = np.array([float(line) for line in fh if line.strip()])
-    if entries.size != d ** k:
-        raise EvaluationError(f"expected {d ** k} tensor entries, found {entries.size}")
-    return SymTensorProblem(entries.reshape((d,) * k), m)
 
 
 def uniform_init(dim, c, seed):

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from .agp import a_agp
-from .core import (CountingOracle, IterationRecord, ObjectiveOracle, RunResult,
-                   SloConfig, Subroutine, Termination, as_vector)
+from .core import ObjectiveOracle, RunResult, SloConfig, Subroutine, drive
 from .lipschitz import estimate_l1, estimate_l2
 from .subroutines import LsParams, a_gp, a_ls, a_ng
 
@@ -19,65 +17,33 @@ class ContractViolation(RuntimeError):
 
 
 def _epoch_constants(oracle, anchor, config: SloConfig, tau: int):
-    """L1/L2 for the epoch, with the sampled-estimate safety factor applied."""
+    """(L1, L2) for the epoch, with the sampled-estimate safety factor applied.
+    LS uses neither; L2 is None for GP and NGD."""
     sub = config.subroutine
     if sub is Subroutine.LS:
-        return None, None, 1.0, 1.0
+        return 1.0, 1.0
     ball = 3.0 * config.radius_D if sub is Subroutine.AGP else config.radius_D
-    seed = (config.seed, tau)
-    est1 = estimate_l1(oracle, anchor, ball, config.n_lipschitz_samples, seed)
-    l1 = est1.value * (config.lipschitz_safety if est1.method == "sampled" else 1.0)
-    est2, l2 = None, None
-    if sub is Subroutine.AGP:
-        est2 = estimate_l2(oracle, anchor, ball, config.n_lipschitz_samples, seed)
-        l2 = est2.value * (config.lipschitz_safety if est2.method == "sampled" else 1.0)
-    return est1, est2, max(1.0, l1), (max(1.0, l2) if l2 is not None else None)
+    args = (oracle, anchor, ball, config.n_lipschitz_samples, (config.seed, tau))
+
+    def scaled(est):
+        return max(1.0, est.value * (config.lipschitz_safety if est.method == "sampled" else 1.0))
+
+    l1 = scaled(estimate_l1(*args))
+    return l1, (scaled(estimate_l2(*args)) if sub is Subroutine.AGP else None)
 
 
 def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     """Run the epoch framework with the configured subroutine until the
     gradient tolerance or a budget is reached."""
-    counting = CountingOracle(oracle)
-    x = as_vector(x_start).copy()
-    root_eps = math.sqrt(config.epsilon)
-    D, d = config.radius_D, config.margin_d
+    sub, D, d = config.subroutine, config.radius_D, config.margin_d
     slack = 1e-12 * max(1.0, D)
-    t0 = time.monotonic()
-    trace: list[IterationRecord] = []
-    epochs_completed = 0
-    termination = Termination.EpochBudget
     ls_params = LsParams(config.ls_sigma, config.ls_theta, config.ls_delta_bar,
                          config.ls_alpha, config.ls_max_backtracks)
 
-    def record(tau, k, anchor, g_norm):
-        trace.append(IterationRecord(
-            epoch=tau, iter=k,
-            f_value=counting.base.value(x),
-            grad_norm=g_norm,
-            dist_from_anchor=float(np.linalg.norm(x - anchor)),
-            cum_grad_evals=counting.grad_evals,
-            elapsed_s=time.monotonic() - t0,
-        ))
+    def start_epoch(counting, anchor, tau):
+        l1, l2 = _epoch_constants(counting, anchor, config, tau)
 
-    final_g = math.inf
-    for tau in range(1, config.max_epochs + 1):
-        anchor = x.copy()
-        _, _, l1, l2 = _epoch_constants(counting, anchor, config, tau)
-        k = 0
-        while True:
-            g = counting.gradient(x)
-            final_g = float(np.linalg.norm(g))
-            record(tau, k, anchor, final_g)
-            if final_g < root_eps:
-                return RunResult(x, final_g, Termination.GradientTolerance,
-                                 trace, epochs_completed)
-            if counting.grad_evals >= config.max_total_grad_evals:
-                return RunResult(x, final_g, Termination.EvalBudget,
-                                 trace, epochs_completed)
-            if config.time_budget_s is not None and time.monotonic() - t0 > config.time_budget_s:
-                return RunResult(x, final_g, Termination.TimeBudget,
-                                 trace, epochs_completed)
-            sub = config.subroutine
+        def step(x, g):
             if sub is Subroutine.GP:
                 x_next = a_gp(counting, x, anchor, 1.0 / l1, D, grad=g)
             elif sub is Subroutine.NGD:
@@ -91,18 +57,12 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
                 raise ContractViolation(
                     f"subroutine produced a point at distance {dist:g} > D = {D:g}"
                 )
-            x = x_next
-            k += 1
-            if dist >= D - d - slack:
-                # the iterate entered the margin shell; close the epoch
-                epochs_completed += 1
-                break
-    # epoch budget exhausted; log the final point before returning
-    final_g = float(np.linalg.norm(counting.gradient(x)))
-    record(config.max_epochs + 1, 0, x, final_g)
-    if final_g < root_eps:
-        termination = Termination.GradientTolerance
-    return RunResult(x, final_g, termination, trace, epochs_completed)
+            # entering the margin shell closes the epoch
+            return x_next, dist >= D - d - slack
+        return step
+
+    return drive(oracle, x_start, start_epoch, math.sqrt(config.epsilon),
+                 config.max_total_grad_evals, config.time_budget_s, config.max_epochs)
 
 
 def epoch_descent_floor(config: SloConfig) -> float:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, as_vector, check_finite
+from .core import ObjectiveOracle, as_vector, check_finite, project_ball
 
 
 class DirectionError(ValueError):
@@ -45,12 +45,7 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None):
     if np.linalg.norm(x - center) > r * (1 + 1e-12):
         raise ValueError("a_gp requires x inside B(center, r)")
     g = oracle.gradient(x) if grad is None else grad
-    cand = x - eta * g
-    offset = cand - center
-    dist = float(np.linalg.norm(offset))
-    if dist <= r:
-        return check_finite(cand, "a_gp output")
-    return check_finite(center + offset * (r / dist), "a_gp output")
+    return check_finite(project_ball(x - eta * g, center, r), "a_gp output")
 
 
 def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):

@@ -6,7 +6,9 @@ import pytest
 from sloopt.baselines import (BpgConfig, bpg_step, bpg_subproblem, gd_fixed,
                               run_bpg)
 from sloopt.core import Termination
-from sloopt.problems import QuadraticProblem, QuarticProblem, generate_planted_tensor
+from sloopt.harness import ExperimentSpec, build_problem, run_experiment
+from sloopt.problems import (QuadraticProblem, QuarticProblem,
+                             generate_planted_tensor, uniform_init)
 
 
 def independent_bisection_root(gn, L, n, tol=1e-12):
@@ -119,6 +121,7 @@ def test_gd_contraction_factor_exact():
                    stop_grad_tol=0.0, max_iters=10)
     xs = [1.0 * 0.5 ** t for t in range(11)]
     np.testing.assert_allclose([rec.grad_norm for rec in res.trace], xs)
+    assert res.termination is Termination.IterationBudget
 
 
 def test_gd_overlarge_step_diverges():
@@ -130,6 +133,30 @@ def test_gd_quartic_explodes_from_two():
     # x1 = 2 - 8 = -6, x2 = -6 + 216 = 210, ...
     res = gd_fixed(QuarticProblem(1), np.array([2.0]), 1.0, max_iters=50)
     assert res.termination is Termination.Diverged
+
+
+def test_run_bpg_iteration_budget():
+    res = run_bpg(QuarticProblem(1), np.array([1.0]),
+                  BpgConfig(4, 1.0, stop_grad_tol=0.0, max_iters=3))
+    assert res.termination is Termination.IterationBudget
+    assert len(res.trace) == 4
+
+
+@pytest.mark.parametrize("seed, rows", [(1, 14), (7, 9)])
+def test_run_bpg_reports_divergence_on_autoencoder(tmp_path, seed, rows):
+    # these constants blow up within a few steps; the run must report it
+    # instead of raising from an overflowing oracle or subproblem
+    spec = ExperimentSpec(problem="autoencoder", methods=("bpg",), init_c=0.1,
+                          bpg_n=4, bpg_l=10.0, seed=seed, output_dir=str(tmp_path))
+    oracle, _ = build_problem(spec)
+    cfg = BpgConfig(4, 10.0, stop_grad_tol=math.sqrt(spec.epsilon))
+    res = run_bpg(oracle, uniform_init(oracle.dim, 0.1, seed + 1), cfg)
+    assert res.termination is Termination.Diverged
+    assert len(res.trace) == rows
+    summary = run_experiment(spec)
+    assert summary["errors"] == {}
+    assert summary["diverged"] == ["bpg/round1"]
+    assert summary["methods"] == {}
 
 
 def test_gd_rejects_nonpositive_step():

@@ -33,6 +33,16 @@ def test_counting_oracle_memoizes_repeat_queries():
     assert oracle.grad_evals == 3
 
 
+def test_counting_oracle_memo_is_read_only():
+    oracle = CountingOracle(QuadraticProblem(2))
+    x = np.array([1.0, 2.0])
+    g = oracle.gradient(x)
+    with pytest.raises(ValueError):
+        g[0] = 5.0
+    np.testing.assert_array_equal(oracle.gradient(x), [1.0, 2.0])
+    assert oracle.grad_evals == 1
+
+
 def test_finite_diff_matches_quadratic():
     p = QuadraticProblem(4)
     x = np.array([0.5, -1.0, 2.0, 0.0])

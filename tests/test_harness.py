@@ -1,5 +1,6 @@
 import csv
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -103,6 +104,32 @@ def test_failed_method_recorded_and_others_proceed(tmp_path):
     assert "bpg/round1" in summary["errors"]
     assert "gd" in summary["methods"]
     assert not os.path.exists(tmp_path / "bpg_round01.csv")
+
+
+def test_diverged_run_is_reported_not_summarized(tmp_path, capsys):
+    # gd with the default step blows up on the default supervised instance
+    spec = ExperimentSpec(problem="supervised", methods=("gd", "pgd"),
+                          output_dir=str(tmp_path / "api"))
+    summary = run_experiment(spec)
+    assert summary["diverged"] == ["gd/round1"]
+    assert summary["errors"] == {}
+    assert set(summary["methods"]) == {"pgd"}
+    assert os.path.exists(tmp_path / "api" / "gd_round01.csv")
+    assert "DIVERGED gd/round1" in (tmp_path / "api" / "summary.txt").read_text()
+    code = main(["--problem", "supervised", "--method", "gd", "--out", str(tmp_path / "cli")])
+    assert code == 0
+    assert "DIVERGED gd/round1" in capsys.readouterr().out
+
+
+def test_svg_chart_written_without_extra_csv(tmp_path):
+    spec = ExperimentSpec(problem="quartic", methods=("gd",), init_c=1.5,
+                          budget_evals=50, gd_step=0.05, svg=True,
+                          output_dir=str(tmp_path))
+    run_experiment(spec)
+    root = ET.parse(tmp_path / "gd_round01.svg").getroot()
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
+    csvs = {name for name in os.listdir(tmp_path) if name.endswith(".csv")}
+    assert csvs == {"gd_round01.csv", "summary.csv"}
 
 
 def test_spec_validation():

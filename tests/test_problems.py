@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from sloopt.core import finite_diff_gradient
 from sloopt.problems import (LinearNetProblem, QuarticProblem,
                              SymTensorProblem, generate_planted_labels,
-                             generate_planted_tensor, load_tensor_problem,
-                             save_tensor_problem, tensor_from_components,
+                             generate_planted_tensor, tensor_from_components,
                              uniform_init)
 
 
@@ -42,15 +41,6 @@ def test_tensor_requires_odd_order():
     t = np.zeros((2, 2, 2, 2))
     with pytest.raises(ValueError):
         SymTensorProblem(t, 1)
-
-
-def test_tensor_save_load_roundtrip(tmp_path):
-    prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, 7)
-    path = tmp_path / "tensor.txt"
-    save_tensor_problem(prob, path)
-    loaded = load_tensor_problem(path)
-    np.testing.assert_array_equal(loaded.tensor, prob.tensor)
-    assert loaded.rank_m == prob.rank_m
 
 
 def test_net_autoencoder_perfect_identity():

@@ -119,6 +119,17 @@ def test_ls_one_iteration_per_epoch():
     assert res.epochs_completed == len(res.trace) - 1
 
 
+def test_epoch_budget_traces_the_final_point():
+    cfg = SloConfig(epsilon=EPS, radius_D=0.5, margin_d=0.5,
+                    subroutine=Subroutine.LS, ls_delta_bar=0.5, max_epochs=2)
+    res = run_slo(QuarticProblem(1), np.array([1.0]), cfg)
+    assert res.termination is Termination.EpochBudget
+    assert res.epochs_completed == 2
+    assert [(rec.epoch, rec.iter) for rec in res.trace] == [(1, 0), (2, 0), (3, 0)]
+    assert res.trace[-1].dist_from_anchor == 0.0
+    assert res.trace[-1].f_value == QuarticProblem(1).value(res.final_point)
+
+
 def test_agp_run_on_tensor_problem():
     eps = 1e-6
     d = 2 * eps ** 0.25
