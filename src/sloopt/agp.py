@@ -101,33 +101,35 @@ def find_nc_pair(f_hat, x_hist, y_hist, w, alpha):
 
 
 def certify_progress(f_hat, region: AgpRegion, y0, yt, l1_hat, alpha, kappa, t,
-                     grad_yt=None):
+                     grad_yt=None, f_y0=None, psi=None):
     """Witness that the accelerated iterates are not making certified progress.
 
     Returns a witness point or None. The three branches, in order: objective
     increase (witness y0), a gradient step exiting the interior (witness its
     projection), or a gradient norm too large for t accelerated iterations
-    (witness the gradient step itself).
+    (witness the gradient step itself). A caller that already has the
+    gradient at yt, f_hat at y0 or the psi of that gradient step passes it in.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     y0 = as_vector(y0)
     yt = as_vector(yt)
-    if f_hat.value(yt) > f_hat.value(y0):
+    f_y0 = f_hat.value(y0) if f_y0 is None else f_y0
+    if f_hat.value(yt) > f_y0:
         return np.array(y0)
     g = f_hat.gradient(yt) if grad_yt is None else grad_yt
     z = yt - g / l1_hat
     if not region.is_interior(z):
         return region.project(z)
-    psi = _psi(f_hat, y0, z, alpha)
+    psi = _psi(f_hat, y0, f_y0, z, alpha) if psi is None else psi
     if float(np.dot(g, g)) > 2.0 * l1_hat * psi * math.exp(-t / math.sqrt(kappa)):
         return z
     return None
 
 
-def _psi(f_hat, y0, z, alpha):
+def _psi(f_hat, y0, f_y0, z, alpha):
     dz = z - y0
-    return f_hat.value(y0) - f_hat.value(z) + 0.5 * alpha * float(np.dot(dz, dz))
+    return f_y0 - f_hat.value(z) + 0.5 * alpha * float(np.dot(dz, dz))
 
 
 def _iter_bound(l1_hat, alpha, psi, eps_hat):
@@ -141,7 +143,8 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
 
     Flags: 1 boundary exit with descent, 2 boundary exit with an NC pair,
     3 certified witness on the boundary, 4 interior NC pair, 5 small
-    augmented gradient.
+    augmented gradient. f_hat is evaluated at y0 once, apart from the NC-pair
+    search of flags 2 and 4.
     """
     y0 = as_vector(y0)
     if not region.is_interior(y0):
@@ -152,6 +155,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
         raise ValueError("eps_hat must be positive")
     kappa = l1_hat / alpha
     omega = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+    f_y0 = f_hat.value(y0)
     x_hist = [y0]
     y_hist = [y0]
     grad_evals = 0
@@ -168,7 +172,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
         else:
             yt = region.project(y_tilde)
             y_hist.append(yt)
-            if f_hat.value(yt) <= f_hat.value(y0):
+            if f_hat.value(yt) <= f_y0:
                 return UpgOutcome(1, point_p=yt, iters_t=t, grad_evals=grad_evals,
                                   iter_bound=bound_at_exit)
             pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], y0, alpha)
@@ -183,13 +187,15 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
         x_hist.append(yt + omega * (yt - y_hist[t - 1]))
         gy = f_hat.gradient(yt)
         grad_evals += 1
-        w = certify_progress(f_hat, region, y0, yt, l1_hat, alpha, kappa, t, grad_yt=gy)
         z = yt - gy / l1_hat
+        psi = None
         if region.is_interior(z):
-            psi = _psi(f_hat, y0, z, alpha)
+            psi = _psi(f_hat, y0, f_y0, z, alpha)
             bound_at_exit = _iter_bound(l1_hat, alpha, psi, eps_hat)
             if t == 1:
                 cap = max(10_000, int(10 * bound_at_exit) + 1)
+        w = certify_progress(f_hat, region, y0, yt, l1_hat, alpha, kappa, t,
+                             grad_yt=gy, f_y0=f_y0, psi=psi)
         if w is not None:
             if region.on_boundary(w):
                 return UpgOutcome(3, point_p=w, iters_t=t, grad_evals=grad_evals,

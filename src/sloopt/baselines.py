@@ -77,7 +77,7 @@ def gd_fixed(oracle: ObjectiveOracle, x0, step, stop_grad_tol=1e-8,
         raise ValueError("step must be positive")
 
     def start_epoch(counting, anchor, tau):
-        return lambda x, g: (x - step * g, False)
+        return lambda x, g, f: (x - step * g, False)
 
     return drive(oracle, x0, start_epoch, stop_grad_tol, max_grad_evals,
                  time_budget_s, max_iters=max_iters)
@@ -87,7 +87,7 @@ def run_bpg(oracle: ObjectiveOracle, x0, config: BpgConfig,
             max_grad_evals=1_000_000, time_budget_s=None) -> RunResult:
     """Bregman proximal gradient steps: one epoch that never closes."""
     def start_epoch(counting, anchor, tau):
-        return lambda x, g: (bpg_step(counting, x, config), False)
+        return lambda x, g, f: (bpg_step(counting, x, config), False)
 
     return drive(oracle, x0, start_epoch, config.stop_grad_tol, max_grad_evals,
                  time_budget_s, max_iters=config.max_iters)

@@ -57,16 +57,22 @@ class ObjectiveOracle:
         raise NotImplementedError
 
 
+class _BudgetSpent(Exception):
+    """A gradient evaluation would exceed the CountingOracle's cap."""
+
+
 class CountingOracle(ObjectiveOracle):
-    """Wrapper that counts gradient evaluations.
+    """Wrapper that counts gradient evaluations, at most ``max_grad_evals``.
 
     A one-entry memo makes repeated gradient queries at the same point
     free, so the solver loop and its subroutines do not double-charge.
     Every caller gets the same memoized array, so it is returned read-only.
+    An evaluation past the cap raises ``_BudgetSpent`` instead of running.
     """
 
-    def __init__(self, base: ObjectiveOracle):
+    def __init__(self, base: ObjectiveOracle, max_grad_evals: float = math.inf):
         self.base = base
+        self.max_grad_evals = max_grad_evals
         self.dim = base.dim
         self.growth1 = base.growth1
         self.growth2 = base.growth2
@@ -87,6 +93,8 @@ class CountingOracle(ObjectiveOracle):
         key = x.tobytes()
         if key == self._memo_key:
             return self._memo_grad
+        if self.grad_evals >= self.max_grad_evals:
+            raise _BudgetSpent
         g = check_finite(self.base.gradient(x), "gradient").view()
         g.flags.writeable = False
         self.grad_evals += 1
@@ -209,58 +217,66 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
           max_epochs: int = 1, max_iters: int | None = None) -> RunResult:
     """The solver loop of every method: traced epochs of steps until a stop.
 
-    Epoch tau opens at the current iterate, its anchor, with
-    ``start_epoch(counting_oracle, anchor, tau)``, which does the epoch's
-    set-up and returns its step ``(x, grad) -> (next x, epoch closes)``.
     Every iterate gets a trace row. The run stops at ``||grad|| < tol``, on
     divergence (non-finite f or a rise above 1e12), or when the gradient
     evaluation, time, iteration or epoch budget is spent, checked in that
-    order. After ``max_epochs`` closed epochs the final point is traced once
-    more, as the first row of epoch ``max_epochs + 1``.
+    order; an evaluation past the gradient budget, a hard cap, ends the run
+    at the last traced iterate. Epoch tau opens once its anchor's row passed
+    these tests: ``start_epoch(counting_oracle, anchor, tau)`` does the
+    epoch's set-up and returns its step ``(x, grad, f) -> (next x, closes)``.
+    After ``max_epochs`` closed epochs the final point is traced once more,
+    as the first row of epoch ``max_epochs + 1``.
     """
-    counting = CountingOracle(oracle)
+    counting = CountingOracle(oracle, max(1, max_grad_evals))  # the start is always traced
     x = as_vector(x_start).copy()
     t0 = time.monotonic()
     trace: list[IterationRecord] = []
     f_prev = math.inf
     steps = closed = 0
-    while True:
-        anchor = x.copy()
-        step = start_epoch(counting, anchor, closed + 1) if closed < max_epochs else None
-        k = 0
+    try:
         while True:
-            g = counting.gradient(x)
-            g_norm = float(np.linalg.norm(g))
-            f = counting.base.value(x)
-            trace.append(IterationRecord(
-                epoch=closed + 1, iter=k, f_value=f, grad_norm=g_norm,
-                dist_from_anchor=float(np.linalg.norm(x - anchor)),
-                cum_grad_evals=counting.grad_evals,
-                elapsed_s=time.monotonic() - t0,
-            ))
-            if g_norm < tol:
-                stop = Termination.GradientTolerance
-            elif not math.isfinite(f) or f - f_prev > 1e12:
-                stop = Termination.Diverged
-            elif counting.grad_evals >= max_grad_evals:
-                stop = Termination.EvalBudget
-            elif time_budget_s is not None and time.monotonic() - t0 > time_budget_s:
-                stop = Termination.TimeBudget
-            elif steps == max_iters:
-                stop = Termination.IterationBudget
-            elif step is None:
-                stop = Termination.EpochBudget
-            else:
-                stop = None
-            if stop is not None:
-                return RunResult(x, g_norm, stop, trace, closed)
-            f_prev = f
-            x, closes = step(x, g)
-            steps += 1
-            k += 1
-            if closes:
-                closed += 1
-                break
+            anchor = x.copy()
+            step = None
+            k = 0
+            while True:
+                g = counting.gradient(x)
+                g_norm = float(np.linalg.norm(g))
+                f = counting.base.value(x)
+                traced = x
+                trace.append(IterationRecord(
+                    epoch=closed + 1, iter=k, f_value=f, grad_norm=g_norm,
+                    dist_from_anchor=float(np.linalg.norm(x - anchor)),
+                    cum_grad_evals=counting.grad_evals,
+                    elapsed_s=time.monotonic() - t0,
+                ))
+                if g_norm < tol:
+                    stop = Termination.GradientTolerance
+                elif not math.isfinite(f) or f - f_prev > 1e12:
+                    stop = Termination.Diverged
+                elif counting.grad_evals >= max_grad_evals:
+                    stop = Termination.EvalBudget
+                elif time_budget_s is not None and time.monotonic() - t0 > time_budget_s:
+                    stop = Termination.TimeBudget
+                elif steps == max_iters:
+                    stop = Termination.IterationBudget
+                elif closed == max_epochs:
+                    stop = Termination.EpochBudget
+                else:
+                    stop = None
+                if stop is not None:
+                    return RunResult(x, g_norm, stop, trace, closed)
+                if step is None:
+                    step = start_epoch(counting, anchor, closed + 1)
+                f_prev = f
+                x, closes = step(x, g, f)
+                steps += 1
+                k += 1
+                if closes:
+                    closed += 1
+                    break
+    except _BudgetSpent:
+        last = trace[-1]
+        return RunResult(traced, last.grad_norm, Termination.EvalBudget, trace, last.epoch - 1)
 
 
 def finite_diff_gradient(oracle: ObjectiveOracle, x: np.ndarray, h: float) -> np.ndarray:

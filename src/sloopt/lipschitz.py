@@ -42,7 +42,19 @@ def _pairs(points, center):
         yield p, center
 
 
-def _max_ratio(diff_fn, points, center):
+def _max_ratio(probe, points, center):
+    """Max of ||probe(a) - probe(b)|| / ||a - b|| over the sample pairs. probe
+    runs once per distinct point, the center first, so that a caller's
+    one-entry gradient memo at the center still serves it."""
+    memo = {}
+
+    def at(p):
+        key = p.tobytes()
+        if key not in memo:
+            memo[key] = probe(p)
+        return memo[key]
+
+    at(center)
     best = 0.0
     seen = False
     for a, b in _pairs(points, center):
@@ -50,16 +62,16 @@ def _max_ratio(diff_fn, points, center):
         if dist < 1e-12:
             continue
         seen = True
-        best = max(best, diff_fn(a, b) / dist)
+        best = max(best, float(np.linalg.norm(at(a) - at(b))) / dist)
     if not seen:
         raise EstimationError("all sampled pairs degenerate")
     return max(1.0, best)
 
 
-def _estimate(order, oracle, center, radius, n_samples, seed, make_diff):
+def _estimate(order, oracle, center, radius, n_samples, seed, make_probe):
     """Shared body of the estimators: the analytic bound when the oracle has
-    one, else the max ratio over sample pairs of ``make_diff(rng)``, a
-    difference function built from the generator after the points are drawn."""
+    one, else the max ratio over sample pairs of ``make_probe(rng)``, a
+    per-point function built from the generator after the points are drawn."""
     center = as_vector(center)
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -71,7 +83,7 @@ def _estimate(order, oracle, center, radius, n_samples, seed, make_diff):
         raise ValueError("need at least 2 samples without analytic growth")
     rng = np.random.default_rng(seed)
     points = _sample_ball(rng, center, radius, n_samples)
-    value = _max_ratio(make_diff(rng), points, center)
+    value = _max_ratio(make_probe(rng), points, center)
     return LipschitzEstimate(order, value, center, radius, "sampled", n_samples, seed)
 
 
@@ -80,30 +92,25 @@ def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -
 
     Analytic growth functions are evaluated on the enclosing ball around the
     oracle anchor; otherwise the max gradient-difference ratio over seeded
-    sample pairs is returned, floored at 1. Sampled values are a lower bound
-    of the true supremum; callers are expected to apply a safety factor.
+    sample pairs is returned, floored at 1, at a cost of ``n_samples + 1``
+    gradient evaluations. Sampled values are a lower bound of the true
+    supremum; callers are expected to apply a safety factor.
     """
-    def grad_diff(a, b):
-        return float(np.linalg.norm(oracle.gradient(a) - oracle.gradient(b)))
-
-    return _estimate(1, oracle, center, radius, n_samples, seed, lambda rng: grad_diff)
+    return _estimate(1, oracle, center, radius, n_samples, seed, lambda rng: oracle.gradient)
 
 
 def estimate_l2(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -> LipschitzEstimate:
     """Hessian-Lipschitz constant over B(center, radius).
 
     The sampled path probes Hessian-vector products along one seeded random
-    unit direction via central differences of the gradient.
+    unit direction via central differences of the gradient, at a cost of
+    ``2 * (n_samples + 1)`` gradient evaluations.
     """
     h = 1e-4 * radius
 
-    def hv_diff(rng):
-        probe = rng.standard_normal(np.size(center))
-        probe /= np.linalg.norm(probe)
+    def hess_vec(rng):
+        u = rng.standard_normal(np.size(center))
+        u /= np.linalg.norm(u)
+        return lambda p: (oracle.gradient(p + h * u) - oracle.gradient(p - h * u)) / (2.0 * h)
 
-        def hess_vec(p):
-            return (oracle.gradient(p + h * probe) - oracle.gradient(p - h * probe)) / (2.0 * h)
-
-        return lambda a, b: float(np.linalg.norm(hess_vec(a) - hess_vec(b)))
-
-    return _estimate(2, oracle, center, radius, n_samples, seed, hv_diff)
+    return _estimate(2, oracle, center, radius, n_samples, seed, hess_vec)

@@ -43,13 +43,13 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     def start_epoch(counting, anchor, tau):
         l1, l2 = _epoch_constants(counting, anchor, config, tau)
 
-        def step(x, g):
+        def step(x, g, f):
             if sub is Subroutine.GP:
                 x_next = a_gp(counting, x, anchor, 1.0 / l1, D, grad=g)
             elif sub is Subroutine.NGD:
                 x_next = a_ng(counting, x, l1, d, grad=g)
             elif sub is Subroutine.LS:
-                x_next, _, _ = a_ls(counting, x, -g, ls_params, grad=g)
+                x_next, _, _ = a_ls(counting, x, -g, ls_params, grad=g, f_x=f)
             else:
                 x_next, _ = a_agp(counting, x, l1, l2, anchor, D, config.epsilon)
             dist = float(np.linalg.norm(x_next - anchor))

@@ -171,6 +171,32 @@ def test_upg_iteration_count_within_bound():
             assert out.iters_t <= out.iter_bound + 1
 
 
+class ValueLog(ObjectiveOracle):
+    """Passes calls to ``base`` and logs every point where value is asked."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.points = base, base.dim, []
+
+    def value(self, x):
+        self.points.append(np.array(x))
+        return self.base.value(x)
+
+    def gradient(self, x):
+        return self.base.gradient(x)
+
+
+def test_upg_evaluates_f_hat_at_y0_once_per_call():
+    rng = np.random.default_rng(1)
+    cases = [(random_spd_quadratic(rng, 3, 0.6, 0.9), 50.0, np.array([0.2, -0.1, 0.3]), 5),
+             (Concave1D(1.0), 0.3, np.array([0.01]), 1)]
+    for f, radius, y0, flag in cases:
+        f_hat = ValueLog(f)
+        out = agp_upg(f_hat, AgpRegion(np.zeros(f.dim), radius), y0,
+                      eps_hat=1e-8, l1_hat=1.0, alpha=0.5 if flag == 5 else 0.05)
+        assert out.flag == flag and out.iters_t > 1
+        assert sum(np.array_equal(p, y0) for p in f_hat.points) == 1
+
+
 def test_upg_rejects_exterior_start():
     with pytest.raises(ValueError):
         agp_upg(QuadraticProblem(1), AgpRegion(np.zeros(1), 0.5),

@@ -166,6 +166,25 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert os.path.exists(tmp_path / "ls_round01.csv")
 
 
+def test_cli_budget_is_a_hard_cap(tmp_path, monkeypatch, capsys):
+    # pgd on the default supervised net: at 5000 the budget falls inside an
+    # L1 estimate; a budget checked only between steps would end at 5100
+    from sloopt import problems, slo
+    from sloopt.core import Termination
+
+    calls, results = [], []
+    gradient, run_slo = problems.LinearNetProblem.gradient, slo.run_slo
+    monkeypatch.setattr(problems.LinearNetProblem, "gradient",
+                        lambda self, w: calls.append(1) or gradient(self, w))
+    monkeypatch.setattr(slo, "run_slo", lambda *a: results.append(run_slo(*a)) or results[-1])
+    code = main(["--problem", "supervised", "--method", "pgd", "--budget-evals", "5000",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert [r.termination for r in results] == [Termination.EvalBudget]
+    last = read_rows(tmp_path / "pgd_round01.csv")[-1]
+    assert int(last[CSV_HEADER.index("grad_evals")]) <= len(calls) == 5000
+
+
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = main(["--problem", "quartic", "--method", "bpg", "--rounds", "1",
                  "--out", str(tmp_path)])

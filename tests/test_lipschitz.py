@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from sloopt.core import CountingOracle
 from sloopt.lipschitz import EstimationError, estimate_l1, estimate_l2
-from sloopt.problems import (LinearProblem, QuadraticProblem, QuarticProblem,
-                             generate_planted_tensor)
+from sloopt.problems import (LinearNetProblem, LinearProblem, QuadraticProblem,
+                             QuarticProblem, generate_planted_tensor)
 
 
 def test_analytic_path_uses_growth_functions():
@@ -74,3 +75,59 @@ def test_degenerate_radius_rejected():
     p = QuadraticProblem(2)
     with pytest.raises((ValueError, EstimationError)):
         estimate_l1(p, np.zeros(2), 0.0)
+
+
+def _reference_estimate(oracle, center, radius, n, seed, order):
+    """The sampled estimate as a plain pairwise loop in which every pair
+    evaluates both of its ends afresh."""
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((n, center.size))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = radius * rng.uniform(0.0, 1.0, size=n) ** (1.0 / center.size)
+    points = center + directions * radii[:, None]
+    if order == 1:
+        def probe(p):
+            return oracle.gradient(p)
+    else:
+        h = 1e-4 * radius
+        u = rng.standard_normal(center.size)
+        u /= np.linalg.norm(u)
+
+        def probe(p):
+            return (oracle.gradient(p + h * u) - oracle.gradient(p - h * u)) / (2.0 * h)
+    pairs = [(points[i], points[i + 1]) for i in range(0, n - 1, 2)]
+    pairs += [(p, center) for p in points]
+    best = 0.0
+    for a, b in pairs:
+        dist = float(np.linalg.norm(a - b))
+        if dist >= 1e-12:
+            best = max(best, float(np.linalg.norm(probe(a) - probe(b))) / dist)
+    return max(1.0, best)
+
+
+def _sampled_problems():
+    tensor, _ = generate_planted_tensor(4, 3, 2, 0.5, 1.5, 1)
+    rng = np.random.default_rng(2)
+    net = LinearNetProblem(rng.standard_normal((3, 10)), [(2, 3), (3, 2)], "autoencoder")
+    return [(tensor, np.full(tensor.dim, 0.3)), (net, rng.uniform(0.0, 0.5, net.dim))]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("case", [0, 1], ids=["tensor", "linear-net"])
+def test_sampled_estimate_equals_pairwise_reference(order, case):
+    oracle, center = _sampled_problems()[case]
+    estimate = estimate_l1 if order == 1 else estimate_l2
+    est = estimate(oracle, center, 0.4, n_samples=25, seed=(3, 1))
+    assert est.method == "sampled"
+    assert est.value == _reference_estimate(oracle, center, 0.4, 25, (3, 1), order)
+
+
+@pytest.mark.parametrize("n", [2, 7, 50])
+def test_sampled_estimates_evaluate_each_point_once(n):
+    for oracle, center in _sampled_problems():
+        counting = CountingOracle(oracle)
+        estimate_l1(counting, center, 0.4, n_samples=n, seed=0)
+        assert counting.grad_evals == n + 1
+        counting = CountingOracle(oracle)
+        estimate_l2(counting, center, 0.4, n_samples=n, seed=0)
+        assert counting.grad_evals == 2 * (n + 1)

@@ -131,10 +131,7 @@ def test_epoch_budget_traces_the_final_point():
 
 
 def test_agp_run_on_tensor_problem():
-    eps = 1e-6
-    d = 2 * eps ** 0.25
-    cfg = SloConfig(epsilon=eps, radius_D=3 * d, margin_d=d,
-                    subroutine=Subroutine.AGP, max_total_grad_evals=200_000)
+    cfg = agp_config(max_total_grad_evals=200_000)
     prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)
     x0 = np.full(prob.dim, 0.3)
     res = run_slo(prob, x0, cfg)
@@ -142,6 +139,77 @@ def test_agp_run_on_tensor_problem():
     assert min(check_epoch_descent(res, cfg), default=0) >= -1e-10
     f_vals = [rec.f_value for rec in res.trace]
     assert all(a >= b - 1e-12 for a, b in zip(f_vals, f_vals[1:]))
+
+
+def _log_calls(prob, name):
+    """Replace the instance's ``name`` method by one that logs each call."""
+    calls, fn = [], getattr(prob, name)
+    setattr(prob, name, lambda x: calls.append(np.array(x)) or fn(x))
+    return calls
+
+
+def agp_config(**kw):
+    d = 2 * EPS ** 0.25
+    return SloConfig(epsilon=EPS, radius_D=3 * d, margin_d=d, subroutine=Subroutine.AGP, **kw)
+
+
+@pytest.mark.parametrize("config", [gp_config(), agp_config()], ids=["GP", "AGP"])
+def test_start_that_meets_the_tolerance_spends_no_estimate(config):
+    # the planted components are an exact minimizer; estimating the sampled
+    # constants before the tolerance test would cost 150 (GP) or 451 (AGP)
+    prob, comps = generate_planted_tensor(4, 3, 2, 0.5, 1.5, 0)
+    grads = _log_calls(prob, "gradient")
+    res = run_slo(prob, comps.reshape(-1), config)
+    assert res.termination is Termination.GradientTolerance
+    assert len(grads) == 1 and res.trace[-1].cum_grad_evals == 1
+
+
+def test_ls_steps_reuse_the_traced_value(monkeypatch):
+    import sloopt.slo as slo_mod
+
+    backtracks = []
+    a_ls = slo_mod.a_ls
+
+    def logged(*args, **kwargs):
+        out = a_ls(*args, **kwargs)
+        backtracks.append(out[2])
+        return out
+
+    monkeypatch.setattr(slo_mod, "a_ls", logged)
+    cfg = SloConfig(epsilon=EPS, radius_D=0.5, margin_d=0.5,
+                    subroutine=Subroutine.LS, ls_delta_bar=0.5)
+    prob = QuarticProblem(3)
+    values = _log_calls(prob, "value")
+    res = run_slo(prob, np.array([1.0, -0.5, 0.2]), cfg)
+    assert res.termination is Termination.GradientTolerance and sum(backtracks) > 0
+    # one value per trace row, then one per Armijo trial point
+    assert len(values) == len(res.trace) + sum(1 + j for j in backtracks)
+
+
+def test_eval_budget_is_a_hard_cap_inside_the_agp_inner_loop(monkeypatch):
+    import sloopt.slo as slo_mod
+
+    raised = []
+    a_agp = slo_mod.a_agp
+
+    def logged(*args):
+        try:
+            return a_agp(*args)
+        except Exception as exc:
+            raised.append(type(exc).__name__)
+            raise
+
+    monkeypatch.setattr(slo_mod, "a_agp", logged)
+    prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)
+    grads = _log_calls(prob, "gradient")
+    # unbounded, the fourth a_agp call spends the 629th to 682nd evaluations
+    res = run_slo(prob, np.full(prob.dim, 0.3), agp_config(max_total_grad_evals=650))
+    assert raised == ["_BudgetSpent"]
+    assert res.termination is Termination.EvalBudget
+    assert len(grads) == 650 and res.trace[-1].cum_grad_evals < 629
+    last = res.trace[-1]
+    assert (res.final_grad_norm, prob.value(res.final_point)) == (last.grad_norm, last.f_value)
+    assert res.epochs_completed == last.epoch - 1 and res.epochs_completed > 0
 
 
 def test_eval_budget_termination():

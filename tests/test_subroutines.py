@@ -64,6 +64,14 @@ def test_ls_backtracking_hand_example():
     np.testing.assert_allclose(out, [0.875])
 
 
+def test_ls_with_given_value_evaluates_only_trial_points():
+    # the hand example again, with f(x) passed in: one value per trial point
+    p = quad(1)
+    params = LsParams(sigma=0.9, theta=0.5, delta_bar=1.0, alpha=1.0)
+    _, _, n_backtracks = a_ls(p, np.array([1.0]), np.array([-1.0]), params, f_x=0.5)
+    assert p.value_evals == 1 + n_backtracks == 4
+
+
 def test_ls_step_length_capped_by_delta_bar():
     p = quad(1)
     params = LsParams(sigma=0.1, theta=0.5, delta_bar=0.3, alpha=1.0)
