@@ -203,6 +203,7 @@ class RunResult:
     termination: Termination
     trace: list[IterationRecord] = field(default_factory=list)
     epochs_completed: int = 0
+    grad_evals: int = 0  # every oracle gradient evaluation, traced or not
 
 
 def project_ball(x: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
@@ -264,7 +265,7 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                 else:
                     stop = None
                 if stop is not None:
-                    return RunResult(x, g_norm, stop, trace, closed)
+                    return RunResult(x, g_norm, stop, trace, closed, counting.grad_evals)
                 if step is None:
                     step = start_epoch(counting, anchor, closed + 1)
                 f_prev = f
@@ -276,7 +277,8 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                     break
     except _BudgetSpent:
         last = trace[-1]
-        return RunResult(traced, last.grad_norm, Termination.EvalBudget, trace, last.epoch - 1)
+        return RunResult(traced, last.grad_norm, Termination.EvalBudget, trace, last.epoch - 1,
+                         counting.grad_evals)
 
 
 def finite_diff_gradient(oracle: ObjectiveOracle, x: np.ndarray, h: float) -> np.ndarray:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ObjectiveOracle, as_vector
+from .core import ObjectiveOracle, as_vector, check_finite
 
-# Dense tensors only; the largest instance we target is d=8, k=5 (32768 entries).
+# Cap on dense tensors only; planted instances never build one unless asked.
 MAX_TENSOR_ENTRIES = 1_000_000
 
 
@@ -44,16 +44,19 @@ class SymTensorProblem(ObjectiveOracle):
 
     def __init__(self, tensor: np.ndarray, rank_m: int):
         tensor = np.asarray(tensor, dtype=float)
-        self.order_k = tensor.ndim
-        self.dim_d = tensor.shape[0]
-        if tensor.shape != (self.dim_d,) * self.order_k:
+        if tensor.shape != (tensor.shape[0],) * tensor.ndim:
             raise ValueError("tensor must be cubical")
-        if self.order_k < 3 or self.order_k % 2 == 0:
+        self._set_shape(tensor.shape[0], tensor.ndim, rank_m)
+        self.tensor = tensor
+
+    def _set_shape(self, dim_d: int, order_k: int, rank_m: int):
+        if order_k < 3 or order_k % 2 == 0:
             raise ValueError("order_k must be an odd integer >= 3")
+        self.order_k = int(order_k)
+        self.dim_d = int(dim_d)
         self.rank_m = int(rank_m)
         if self.rank_m < 1:
             raise ValueError("rank_m must be >= 1")
-        self.tensor = tensor
         self.dim = self.rank_m * self.dim_d
 
     def _blocks(self, x: np.ndarray):
@@ -83,6 +86,42 @@ class SymTensorProblem(ObjectiveOracle):
                 c = np.tensordot(c, b, axes=([c.ndim - 1], [0]))
             g[i] = -2.0 * k * c
         return g.reshape(-1)
+
+
+class PlantedTensorProblem(SymTensorProblem):
+    """The tensor problem for T = sum_j c_j^(x)k, evaluated through Gram matrices.
+
+    With X the m x d iterate blocks, C the components, G = X X^T and
+    P = X C^T (powers elementwise),
+
+        f = sum(G^k) - 2 sum(P^k) + sum((C C^T)^k)
+        grad = 2k (G^(k-1) X - P^(k-1) C),
+
+    which costs O(m^2 d) per call instead of O(m d^k). The dense tensor is
+    built only when ``tensor`` is read, so the size cap applies only there.
+    """
+
+    def __init__(self, components, order_k: int, rank_m: int):
+        comps = np.array(components, dtype=float, order="C")
+        if comps.ndim != 2 or comps.shape[0] != rank_m:
+            raise ValueError(f"components must have shape (rank_m, d) = ({rank_m}, d), "
+                             f"got {comps.shape}")
+        self._set_shape(comps.shape[1], order_k, rank_m)
+        self.components = check_finite(comps, "components")
+        self._const = float(np.sum((comps @ comps.T) ** order_k))
+
+    @property
+    def tensor(self) -> np.ndarray:
+        return tensor_from_components(self.components, self.order_k)
+
+    def value(self, x):
+        xs, c, k = self._blocks(x), self.components, self.order_k
+        return float(np.sum((xs @ xs.T) ** k) - 2.0 * np.sum((xs @ c.T) ** k) + self._const)
+
+    def gradient(self, x):
+        xs, c, k = self._blocks(x), self.components, self.order_k
+        g = (xs @ xs.T) ** (k - 1) @ xs - (xs @ c.T) ** (k - 1) @ c
+        return (2.0 * k) * g.reshape(-1)
 
 
 class LinearNetProblem(ObjectiveOracle):
@@ -238,7 +277,8 @@ class QuarticProblem(ObjectiveOracle):
         return max(1.0, 6.0 * (self._anchor_norm + r))
 
     def value(self, x):
-        n2 = float(np.dot(as_vector(x), as_vector(x)))
+        x = as_vector(x)
+        n2 = float(np.dot(x, x))
         return 0.25 * n2 * n2
 
     def gradient(self, x):
@@ -260,8 +300,7 @@ def generate_planted_tensor(dim_d, order_k, rank_m, scale_low, scale_high, seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim_d, rank_m)))
     scales = rng.uniform(scale_low, scale_high, size=rank_m)
     components = (q * scales).T  # rows are scaled orthonormal directions
-    tensor = tensor_from_components(components, order_k)
-    return SymTensorProblem(tensor, rank_m), components
+    return PlantedTensorProblem(components, order_k, rank_m), components
 
 
 def generate_planted_labels(layer_dims, data_X, seed):

@@ -183,6 +183,8 @@ def test_cli_budget_is_a_hard_cap(tmp_path, monkeypatch, capsys):
     assert [r.termination for r in results] == [Termination.EvalBudget]
     last = read_rows(tmp_path / "pgd_round01.csv")[-1]
     assert int(last[CSV_HEADER.index("grad_evals")]) <= len(calls) == 5000
+    # the trace misses the interrupted estimate's evaluations; the result does not
+    assert results[0].grad_evals == len(calls) == 5000
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):

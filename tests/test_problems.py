@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sloopt.core import finite_diff_gradient
-from sloopt.problems import (LinearNetProblem, QuarticProblem,
-                             SymTensorProblem, generate_planted_labels,
+from sloopt.problems import (LinearNetProblem, PlantedTensorProblem,
+                             QuarticProblem, SymTensorProblem,
+                             generate_planted_labels,
                              generate_planted_tensor, tensor_from_components,
                              uniform_init)
 
@@ -41,6 +42,41 @@ def test_tensor_requires_odd_order():
     t = np.zeros((2, 2, 2, 2))
     with pytest.raises(ValueError):
         SymTensorProblem(t, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([(3, 3, 2), (4, 5, 3), (5, 3, 1)]))
+def test_planted_gram_form_matches_dense(seed, shape):
+    d, k, m = shape
+    prob, comps = generate_planted_tensor(d, k, m, 0.5, 1.5, seed)
+    assert isinstance(prob, PlantedTensorProblem)
+    dense = SymTensorProblem(prob.tensor, m)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = rng.uniform(-1.5, 1.5, prob.dim)
+        f = dense.value(x)
+        assert abs(prob.value(x) - f) <= 1e-10 * abs(f)
+        assert rel_err(prob.gradient(x), dense.gradient(x)) <= 1e-10
+    assert prob.value(comps.reshape(-1)) == 0.0
+
+
+def test_planted_gram_form_validation():
+    comps = np.eye(3)[:2]
+    for k in (1, 2, 4):
+        with pytest.raises(ValueError, match="odd"):
+            PlantedTensorProblem(comps, k, 2)
+    for bad, m in ((comps, 3), (comps.reshape(-1), 2), (comps[None], 2)):
+        with pytest.raises(ValueError, match="shape"):
+            PlantedTensorProblem(bad, 3, m)
+
+
+def test_planted_gram_form_skips_the_size_cap():
+    # dense, this instance would have 50^5 = 312,500,000 entries
+    prob, _ = generate_planted_tensor(50, 5, 3, 0.5, 1.5, 0)
+    x = np.random.default_rng(1).uniform(-1, 1, prob.dim)
+    assert rel_err(prob.gradient(x), finite_diff_gradient(prob, x, 1e-6)) < 1e-6
+    with pytest.raises(ValueError, match="size cap"):
+        prob.tensor
 
 
 def test_net_autoencoder_perfect_identity():
