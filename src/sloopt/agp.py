@@ -66,7 +66,6 @@ class UpgOutcome:
     nc_v: np.ndarray | None = None
     y_history: list | None = None
     iters_t: int = 0
-    grad_evals: int = 0
     iter_bound: float | None = None  # theoretical cap evaluated at exit, for audits
 
     def __post_init__(self):
@@ -158,13 +157,11 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
     f_y0 = f_hat.value(y0)
     x_hist = [y0]
     y_hist = [y0]
-    grad_evals = 0
     cap = 10_000  # refined from the theoretical bound at t = 1
     bound_at_exit = None
     t = 1
     while True:
         g = f_hat.gradient(x_hist[t - 1])
-        grad_evals += 1
         y_tilde = x_hist[t - 1] - g / l1_hat
         check_finite(y_tilde, "accelerated iterate")
         if region.is_interior(y_tilde):
@@ -173,20 +170,17 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
             yt = region.project(y_tilde)
             y_hist.append(yt)
             if f_hat.value(yt) <= f_y0:
-                return UpgOutcome(1, point_p=yt, iters_t=t, grad_evals=grad_evals,
-                                  iter_bound=bound_at_exit)
+                return UpgOutcome(1, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
             pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], y0, alpha)
             if pair is None:
                 raise AgpError("boundary exit without descent but no NC pair found; "
                                "l1_hat is likely underestimated")
             return UpgOutcome(2, nc_u=pair[0], nc_v=pair[1],
                               y_history=[np.array(v) for v in y_hist],
-                              iters_t=t, grad_evals=grad_evals,
-                              iter_bound=bound_at_exit)
+                              iters_t=t, iter_bound=bound_at_exit)
         yt = y_hist[t]
         x_hist.append(yt + omega * (yt - y_hist[t - 1]))
         gy = f_hat.gradient(yt)
-        grad_evals += 1
         z = yt - gy / l1_hat
         psi = None
         if region.is_interior(z):
@@ -198,19 +192,16 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
                              grad_yt=gy, f_y0=f_y0, psi=psi)
         if w is not None:
             if region.on_boundary(w):
-                return UpgOutcome(3, point_p=w, iters_t=t, grad_evals=grad_evals,
-                                  iter_bound=bound_at_exit)
+                return UpgOutcome(3, point_p=w, iters_t=t, iter_bound=bound_at_exit)
             pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], w, alpha)
             if pair is None:
                 raise AgpError("progress certificate failed but no NC pair found; "
                                "l1_hat is likely underestimated")
             return UpgOutcome(4, nc_u=pair[0], nc_v=pair[1],
                               y_history=[np.array(v) for v in y_hist],
-                              iters_t=t, grad_evals=grad_evals,
-                              iter_bound=bound_at_exit)
+                              iters_t=t, iter_bound=bound_at_exit)
         if float(np.linalg.norm(gy)) <= math.sqrt(eps_hat):
-            return UpgOutcome(5, point_p=yt, iters_t=t, grad_evals=grad_evals,
-                              iter_bound=bound_at_exit)
+            return UpgOutcome(5, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
         t += 1
         if t > cap:
             raise AgpError(

@@ -14,7 +14,6 @@ from .core import ObjectiveOracle, RunResult, as_vector, drive
 class BpgConfig:
     poly_degree_n: int
     l_relative: float
-    eps0: float = 1e-16
     max_iters: int = 100_000
     stop_grad_tol: float = 1e-8
 
@@ -23,8 +22,6 @@ class BpgConfig:
             raise ValueError("poly_degree_n must be >= 2")
         if self.l_relative <= 0:
             raise ValueError("l_relative must be positive")
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
 
 
 def bpg_subproblem(g, l_relative, n, eps0):
@@ -35,9 +32,12 @@ def bpg_subproblem(g, l_relative, n, eps0):
     if gn == 0.0:
         raise ValueError("bpg_subproblem requires g != 0")
     L = float(l_relative)
+    # hoisted out of the bisection with the docstring formula's left-to-right
+    # product grouping, so each p'(rho) is the same to the bit
+    g2, lgn, lg2 = gn ** 2, L * gn ** n, L * gn ** 2
 
     def dp(rho):
-        return -gn ** 2 + L * gn ** n * rho ** (n - 1) + L * gn ** 2 * rho
+        return -g2 + lgn * rho ** (n - 1) + lg2 * rho
 
     rho0, rho1 = 0.0, 1.0
     doublings = 0
@@ -65,7 +65,7 @@ def bpg_step(oracle: ObjectiveOracle, x, config: BpgConfig):
     g = oracle.gradient(x) - L * grad_h
     if not np.any(g):
         return np.zeros_like(x)
-    rho = bpg_subproblem(g, L, n, config.eps0)
+    rho = bpg_subproblem(g, L, n, 1e-16)
     return -rho * g
 
 

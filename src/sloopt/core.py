@@ -38,17 +38,13 @@ class ObjectiveOracle:
 
     Subclasses set ``dim`` and implement ``value`` and ``gradient``.
     ``growth1(r)`` / ``growth2(r)``, when not None, are analytic gradient-
-    and Hessian-Lipschitz bounds valid on the ball of radius r around
-    ``anchor``; they must be nondecreasing in r and floored at 1.
+    and Hessian-Lipschitz bounds valid on the ball of radius r around the
+    origin; they must be nondecreasing in r and floored at 1.
     """
 
     dim: int
     growth1 = None
     growth2 = None
-
-    @property
-    def anchor(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -80,10 +76,6 @@ class CountingOracle(ObjectiveOracle):
         self.value_evals = 0
         self._memo_key = None
         self._memo_grad = None
-
-    @property
-    def anchor(self):
-        return self.base.anchor
 
     def value(self, x):
         self.value_evals += 1
@@ -131,17 +123,11 @@ class SloConfig:
     radius_D: float
     margin_d: float
     subroutine: Subroutine
-    ls_sigma: float = 0.9
-    ls_theta: float = 0.5
     ls_delta_bar: float = 1.0
-    ls_alpha: float = 1.0  # gradient-related constant; distinct from the AGP penalty
     max_epochs: int = 10_000
     max_total_grad_evals: int = 1_000_000
     time_budget_s: float | None = None
     seed: int = 0
-    n_lipschitz_samples: int = 50
-    lipschitz_safety: float = 1.5
-    ls_max_backtracks: int = 200
 
     def __post_init__(self):
         self.subroutine = Subroutine(self.subroutine)
@@ -151,10 +137,6 @@ class SloConfig:
             raise ValueError("radius_D must be positive")
         if self.margin_d < 0:
             raise ValueError("margin_d must be nonnegative")
-        if not (0 < self.ls_sigma < 1 and 0 < self.ls_theta < 1):
-            raise ValueError("ls_sigma and ls_theta must lie in (0,1)")
-        if not (0 < self.ls_alpha <= 1):
-            raise ValueError("ls_alpha must lie in (0,1]")
         if self.max_epochs <= 0 or self.max_total_grad_evals <= 0:
             raise ValueError("budgets must be positive")
         root_eps = math.sqrt(self.epsilon)

@@ -44,6 +44,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem: {self.problem}")
+        unread = set(self.problem_params) - PROBLEMS[self.problem][1]
+        if unread:
+            raise ValueError(f"keys not read by problem {self.problem}: {sorted(unread)}")
 
 
 def _tensor_problem(spec: ExperimentSpec, p: dict):
@@ -66,14 +69,20 @@ def _net_problem(spec: ExperimentSpec, p: dict):
     return problems.LinearNetProblem(data_x, shapes, "supervised", labels), 0.0
 
 
-# The problem names: each maps (spec, problem_params) to (oracle, f_star or None).
-PROBLEMS = {"tensor": _tensor_problem, "autoencoder": _net_problem, "supervised": _net_problem,
-            "quartic": lambda spec, p: (problems.QuarticProblem(int(p.get("quartic_dim", 1))), 0.0)}
+_NET_KEYS = {"net_layers", "net_samples"}
+# The problem names: each maps to a builder of (spec, problem_params) ->
+# (oracle, f_star or None) and the problem_params keys that builder reads.
+PROBLEMS = {
+    "tensor": (_tensor_problem, {"tensor_d", "tensor_k", "tensor_m", "scale_low", "scale_high"}),
+    "autoencoder": (_net_problem, _NET_KEYS), "supervised": (_net_problem, _NET_KEYS),
+    "quartic": (lambda spec, p: (problems.QuarticProblem(int(p.get("quartic_dim", 1))), 0.0),
+                {"quartic_dim"}),
+}
 
 
 def build_problem(spec: ExperimentSpec):
     """Instantiate the oracle; returns (oracle, f_star or None)."""
-    return PROBLEMS[spec.problem](spec, spec.problem_params)
+    return PROBLEMS[spec.problem][0](spec, spec.problem_params)
 
 
 def _run_gd(spec: ExperimentSpec, oracle, x0):
@@ -222,8 +231,9 @@ def _write_summary(output_dir, summary):
             writer.writerow([m] + ["%.17g" % stats[c] for c in cols])
 
 
-def write_svg(path, trace, width=640, height=360):
+def write_svg(path, trace):
     """Minimal two-series line chart (f_value and grad_norm vs grad_evals)."""
+    width, height = 640, 360
     xs = [rec.cum_grad_evals for rec in trace]
     series = {
         "#1f77b4": [rec.f_value for rec in trace],

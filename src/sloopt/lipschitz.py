@@ -15,13 +15,8 @@ class EstimationError(RuntimeError):
 
 @dataclass
 class LipschitzEstimate:
-    order: int  # 1 = gradient-Lipschitz, 2 = Hessian-Lipschitz
     value: float
-    center: np.ndarray
-    radius: float
     method: str  # "analytic" or "sampled"
-    n_samples: int = 0
-    seed: int | None = None
 
 
 def _sample_ball(rng, center, radius, n):
@@ -77,21 +72,21 @@ def _estimate(order, oracle, center, radius, n_samples, seed, make_probe):
         raise ValueError("radius must be positive")
     growth = oracle.growth1 if order == 1 else oracle.growth2
     if growth is not None:
-        r = float(np.linalg.norm(center - oracle.anchor)) + radius
-        return LipschitzEstimate(order, max(1.0, float(growth(r))), center, radius, "analytic")
+        r = float(np.linalg.norm(center)) + radius
+        return LipschitzEstimate(max(1.0, float(growth(r))), "analytic")
     if n_samples < 2:
         raise ValueError("need at least 2 samples without analytic growth")
     rng = np.random.default_rng(seed)
     points = _sample_ball(rng, center, radius, n_samples)
     value = _max_ratio(make_probe(rng), points, center)
-    return LipschitzEstimate(order, value, center, radius, "sampled", n_samples, seed)
+    return LipschitzEstimate(value, "sampled")
 
 
 def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -> LipschitzEstimate:
     """Gradient-Lipschitz constant over B(center, radius).
 
     Analytic growth functions are evaluated on the enclosing ball around the
-    oracle anchor; otherwise the max gradient-difference ratio over seeded
+    origin; otherwise the max gradient-difference ratio over seeded
     sample pairs is returned, floored at 1, at a cost of ``n_samples + 1``
     gradient evaluations. Sampled values are a lower bound of the true
     supremum; callers are expected to apply a safety factor.

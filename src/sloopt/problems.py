@@ -192,17 +192,18 @@ class LinearNetProblem(ObjectiveOracle):
         return self.flatten(grads)
 
 
+def _unit_bound(self, r):
+    """Growth bound of the objectives below, whose Hessian is constant."""
+    return 1.0
+
+
 class QuadraticProblem(ObjectiveOracle):
     """f(x) = 0.5 ||x||^2, with constant unit gradient-Lipschitz bound."""
 
+    growth1 = growth2 = _unit_bound
+
     def __init__(self, dim: int):
         self.dim = dim
-
-    def growth1(self, r):
-        return 1.0
-
-    def growth2(self, r):
-        return 1.0
 
     def value(self, x):
         x = as_vector(x)
@@ -215,14 +216,10 @@ class QuadraticProblem(ObjectiveOracle):
 class NegQuadraticProblem(ObjectiveOracle):
     """f(x) = -0.5 ||x||^2. Unbounded below; only used inside small balls."""
 
+    growth1 = growth2 = _unit_bound
+
     def __init__(self, dim: int):
         self.dim = dim
-
-    def growth1(self, r):
-        return 1.0
-
-    def growth2(self, r):
-        return 1.0
 
     def value(self, x):
         x = as_vector(x)
@@ -235,15 +232,11 @@ class NegQuadraticProblem(ObjectiveOracle):
 class LinearProblem(ObjectiveOracle):
     """f(x) = <slope, x>. Gradient is constant, so both growth bounds floor to 1."""
 
+    growth1 = growth2 = _unit_bound
+
     def __init__(self, slope):
         self.slope = as_vector(slope)
         self.dim = self.slope.size
-
-    def growth1(self, r):
-        return 1.0
-
-    def growth2(self, r):
-        return 1.0
 
     def value(self, x):
         return float(np.dot(self.slope, as_vector(x)))
@@ -256,25 +249,18 @@ class QuarticProblem(ObjectiveOracle):
     """f(x) = 0.25 ||x||^4, the canonical degree-4 polynomial test objective.
 
     grad = ||x||^2 x, Hessian norm = 3||x||^2, third-derivative norm
-    <= 6||x||. The anchor only centers the growth-function balls: on
-    B(anchor, r) every point has norm <= ||anchor|| + r.
+    <= 6||x||, so on the ball of radius r about the origin the growth
+    bounds are 3r^2 and 6r.
     """
 
-    def __init__(self, dim: int, anchor=None):
+    def __init__(self, dim: int):
         self.dim = dim
-        self._anchor = np.zeros(dim) if anchor is None else as_vector(anchor)
-        self._anchor_norm = float(np.linalg.norm(self._anchor))
-
-    @property
-    def anchor(self):
-        return self._anchor
 
     def growth1(self, r):
-        s = self._anchor_norm + r
-        return max(1.0, 3.0 * s * s)
+        return max(1.0, 3.0 * r * r)
 
     def growth2(self, r):
-        return max(1.0, 6.0 * (self._anchor_norm + r))
+        return max(1.0, 6.0 * r)
 
     def value(self, x):
         x = as_vector(x)

@@ -11,6 +11,11 @@ from .core import ObjectiveOracle, RunResult, SloConfig, Subroutine, drive
 from .lipschitz import estimate_l1, estimate_l2
 from .subroutines import LsParams, a_gp, a_ls, a_ng
 
+# Each sampled estimate draws this many points, and the epoch uses the
+# sampled value times this factor, since a sample maximum is only a lower bound.
+LIPSCHITZ_SAMPLES = 50
+LIPSCHITZ_SAFETY = 1.5
+
 
 class ContractViolation(RuntimeError):
     """A subroutine returned a point outside the epoch ball."""
@@ -23,10 +28,10 @@ def _epoch_constants(oracle, anchor, config: SloConfig, tau: int):
     if sub is Subroutine.LS:
         return 1.0, 1.0
     ball = 3.0 * config.radius_D if sub is Subroutine.AGP else config.radius_D
-    args = (oracle, anchor, ball, config.n_lipschitz_samples, (config.seed, tau))
+    args = (oracle, anchor, ball, LIPSCHITZ_SAMPLES, (config.seed, tau))
 
-    def scaled(est):
-        return max(1.0, est.value * (config.lipschitz_safety if est.method == "sampled" else 1.0))
+    def scaled(est):  # both estimate paths floor at 1, so the product does too
+        return est.value * (LIPSCHITZ_SAFETY if est.method == "sampled" else 1.0)
 
     l1 = scaled(estimate_l1(*args))
     return l1, (scaled(estimate_l2(*args)) if sub is Subroutine.AGP else None)
@@ -37,8 +42,7 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     gradient tolerance or a budget is reached."""
     sub, D, d = config.subroutine, config.radius_D, config.margin_d
     slack = 1e-12 * max(1.0, D)
-    ls_params = LsParams(config.ls_sigma, config.ls_theta, config.ls_delta_bar,
-                         config.ls_alpha, config.ls_max_backtracks)
+    ls_params = LsParams(delta_bar=config.ls_delta_bar)
 
     def start_epoch(counting, anchor, tau):
         l1, l2 = _epoch_constants(counting, anchor, config, tau)

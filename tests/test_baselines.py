@@ -169,5 +169,3 @@ def test_bpg_config_validation():
         BpgConfig(1, 1.0)
     with pytest.raises(ValueError):
         BpgConfig(4, -1.0)
-    with pytest.raises(ValueError):
-        BpgConfig(4, 1.0, eps0=0.0)

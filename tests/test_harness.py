@@ -139,6 +139,8 @@ def test_spec_validation():
         ExperimentSpec(methods=("nope",))
     with pytest.raises(ValueError):
         ExperimentSpec(problem="nope")
+    with pytest.raises(ValueError, match="tensor_d"):
+        ExperimentSpec(problem="quartic", problem_params={"tensor_d": 4})
 
 
 def test_config_file_parsing(tmp_path):
@@ -155,6 +157,16 @@ def test_config_file_parsing(tmp_path):
     assert values["problem"] == "quartic"
     assert values["rounds"] == "2"
     assert values["quartic_dim"] == "2"
+
+
+def test_cli_rejects_config_keys_the_problem_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("problem = quartic\nbudget_eval = 5\nquartic_dimm = 7\n")
+    code = main(["--config", str(cfg), "--method", "gd", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "budget_eval" in err and "quartic_dimm" in err
+    assert not os.path.exists(tmp_path / "gd_round01.csv")
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from sloopt.core import SloConfig, Subroutine, Termination
 from sloopt.problems import QuarticProblem, generate_planted_tensor
 from sloopt.slo import ContractViolation, check_epoch_descent, run_slo
+from sloopt.subroutines import LsParams
 
 EPS = 1e-6
 ROOT_EPS = math.sqrt(EPS)
@@ -237,3 +238,58 @@ def test_contract_violation_is_a_hard_error(monkeypatch):
                         lambda oracle, x, center, eta, r, grad=None: x + 5.0)
     with pytest.raises(ContractViolation):
         run_slo(QuarticProblem(1), np.array([1.0]), gp_config())
+
+
+@pytest.mark.parametrize("config, ball_over_D", [(gp_config(seed=5, max_epochs=3), 1),
+                                                 (agp_config(seed=5, max_epochs=3), 3)],
+                         ids=["GP", "AGP"])
+def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch, config,
+                                                                    ball_over_D):
+    import sloopt.slo as slo_mod
+
+    events = []
+
+    def logged(name, fn):
+        def run(oracle, center, radius, n_samples, seed):
+            est = fn(oracle, center, radius, n_samples, seed)
+            events.append((name, radius, n_samples, seed, est))
+            return est
+        return run
+
+    for name in ("estimate_l1", "estimate_l2"):
+        monkeypatch.setattr(slo_mod, name, logged(name, getattr(slo_mod, name)))
+    a_gp = slo_mod.a_gp
+    monkeypatch.setattr(slo_mod, "a_gp", lambda oracle, x, center, eta, r, grad=None:
+                        events.append(("a_gp", eta)) or a_gp(oracle, x, center, eta, r, grad))
+    prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)
+    res = run_slo(prob, np.full(prob.dim, 0.3), config)
+    assert res.termination is Termination.EpochBudget
+    names = ["estimate_l1"] + (["estimate_l2"] if config.subroutine is Subroutine.AGP else [])
+    estimates = [e for e in events if e[0] != "a_gp"]
+    assert [e[0] for e in estimates] == names * 3
+    for i, (_, radius, n_samples, seed, est) in enumerate(estimates):
+        assert (radius, n_samples, seed) == (ball_over_D * config.radius_D, 50,
+                                             (5, i // len(names) + 1))
+        assert est.method == "sampled"
+    l1_est = None
+    for e in events:
+        if e[0] == "estimate_l1":
+            l1_est = e[4]
+        elif e[0] == "a_gp":
+            assert e[1] == 1 / (1.5 * l1_est.value)
+    assert (config.subroutine is Subroutine.GP) == any(e[0] == "a_gp" for e in events)
+
+
+def test_ls_hands_a_ls_the_fixed_armijo_constants(monkeypatch):
+    import sloopt.slo as slo_mod
+
+    params = []
+    a_ls = slo_mod.a_ls
+    monkeypatch.setattr(slo_mod, "a_ls", lambda oracle, x, d, p, **kw:
+                        params.append(p) or a_ls(oracle, x, d, p, **kw))
+    cfg = SloConfig(epsilon=EPS, radius_D=0.5, margin_d=0.5,
+                    subroutine=Subroutine.LS, ls_delta_bar=0.5)
+    run_slo(QuarticProblem(1), np.array([1.0]), cfg)
+    assert params
+    assert all(p == LsParams(sigma=0.9, theta=0.5, alpha=1.0, max_backtracks=200, delta_bar=0.5)
+               for p in params)
