@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, as_vector, check_finite, project_ball
+from .core import ObjectiveOracle, as_vector, check_finite, norm, project_ball
 
 _BOUNDARY_TOL = 1e-12
 
@@ -48,10 +48,10 @@ class AgpRegion:
             raise ValueError("inner_radius must be positive")
 
     def is_interior(self, x) -> bool:
-        return float(np.linalg.norm(x - self.center)) < self.inner_radius
+        return norm(x - self.center) < self.inner_radius
 
     def on_boundary(self, x) -> bool:
-        d = float(np.linalg.norm(x - self.center))
+        d = norm(x - self.center)
         return d >= self.inner_radius * (1 - _BOUNDARY_TOL)
 
     def project(self, x):
@@ -200,7 +200,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
             return UpgOutcome(4, nc_u=pair[0], nc_v=pair[1],
                               y_history=[np.array(v) for v in y_hist],
                               iters_t=t, iter_bound=bound_at_exit)
-        if float(np.linalg.norm(gy)) <= math.sqrt(eps_hat):
+        if norm(gy) <= math.sqrt(eps_hat):
             return UpgOutcome(5, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
         t += 1
         if t > cap:
@@ -222,7 +222,7 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
     inner_radius = radius_D - 2.0 * quarter
     if inner_radius <= 0:
         raise ValueError("radius_D must exceed 2*eps^(1/4)")
-    if float(np.linalg.norm(xbar - epoch_anchor)) >= inner_radius:
+    if norm(xbar - epoch_anchor) >= inner_radius:
         raise ValueError("xbar must lie strictly inside the inner region")
     if l1 < 1 or l2 < 1:
         raise ValueError("Lipschitz constants are floored at 1")
@@ -234,7 +234,7 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
         return outcome.point_p, outcome
     u, v = outcome.nc_u, outcome.nc_v
     sep = u - v
-    sep_norm = float(np.linalg.norm(sep))
+    sep_norm = norm(sep)
     if sep_norm < 1e-15:
         raise AgpError("degenerate NC pair (u == v); oracle inconsistency")
     candidates_1 = outcome.y_history[1:outcome.iters_t] + [u]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, RunResult, as_vector, drive
+from .core import ObjectiveOracle, RunResult, as_vector, drive, norm
 
 
 @dataclass
@@ -28,7 +28,7 @@ def bpg_subproblem(g, l_relative, n, eps0):
     """Root of p'(rho) = -|g|^2 + L|g|^n rho^(n-1) + L|g|^2 rho by binary
     search; returns the midpoint of the final bracket."""
     g = as_vector(g)
-    gn = float(np.linalg.norm(g))
+    gn = norm(g)
     if gn == 0.0:
         raise ValueError("bpg_subproblem requires g != 0")
     L = float(l_relative)
@@ -60,7 +60,7 @@ def bpg_subproblem(g, l_relative, n, eps0):
 def bpg_step(oracle: ObjectiveOracle, x, config: BpgConfig):
     x = as_vector(x)
     n, L = config.poly_degree_n, config.l_relative
-    xn = float(np.linalg.norm(x))
+    xn = norm(x)
     grad_h = (xn ** (n - 2) + 1.0) * x
     g = oracle.gradient(x) - L * grad_h
     if not np.any(g):

@@ -28,7 +28,7 @@ def as_vector(x) -> np.ndarray:
 
 
 def check_finite(v: np.ndarray, what: str = "vector") -> np.ndarray:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise EvaluationError(f"{what} contains NaN or infinite entries")
     return v
 
@@ -188,10 +188,15 @@ class RunResult:
     grad_evals: int = 0  # every oracle gradient evaluation, traced or not
 
 
+def norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a contiguous 1-D float vector, computed as it does: sqrt(v.dot(v))."""
+    return math.sqrt(v.dot(v))
+
+
 def project_ball(x: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
     """Radial projection onto the closed ball B(center, r); x itself when inside."""
     offset = x - center
-    dist = float(np.linalg.norm(offset))
+    dist = norm(offset)
     return x if dist <= r else center + offset * (r / dist)
 
 
@@ -223,14 +228,14 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
             k = 0
             while True:
                 g = counting.gradient(x)
-                g_norm = float(np.linalg.norm(g))
+                g_norm = norm(g)
                 f = counting.base.value(x)
                 traced = x
+                elapsed = time.monotonic() - t0  # one reading for the row and the budget
                 trace.append(IterationRecord(
                     epoch=closed + 1, iter=k, f_value=f, grad_norm=g_norm,
-                    dist_from_anchor=float(np.linalg.norm(x - anchor)),
-                    cum_grad_evals=counting.grad_evals,
-                    elapsed_s=time.monotonic() - t0,
+                    dist_from_anchor=norm(x - anchor),
+                    cum_grad_evals=counting.grad_evals, elapsed_s=elapsed,
                 ))
                 if g_norm < tol:
                     stop = Termination.GradientTolerance
@@ -238,7 +243,7 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                     stop = Termination.Diverged
                 elif counting.grad_evals >= max_grad_evals:
                     stop = Termination.EvalBudget
-                elif time_budget_s is not None and time.monotonic() - t0 > time_budget_s:
+                elif time_budget_s is not None and elapsed > time_budget_s:
                     stop = Termination.TimeBudget
                 elif steps == max_iters:
                     stop = Termination.IterationBudget

@@ -129,15 +129,12 @@ METHODS = {"gd": _run_gd, "bpg": _run_bpg, "pgd": _run_slo(Subroutine.GP),
 
 
 def _write_csv(path, round_idx, trace):
+    # the csv module's default dialect: no field needs quoting, and rows end in "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rec in trace:
-            writer.writerow([
-                round_idx, rec.epoch, rec.iter, rec.cum_grad_evals,
-                "%.6f" % rec.elapsed_s, "%.17g" % rec.f_value,
-                "%.17g" % rec.grad_norm, "%.17g" % rec.dist_from_anchor,
-            ])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines("%d,%d,%d,%d,%.6f,%.17g,%.17g,%.17g\r\n" % (
+            round_idx, rec.epoch, rec.iter, rec.cum_grad_evals, rec.elapsed_s,
+            rec.f_value, rec.grad_norm, rec.dist_from_anchor) for rec in trace)
 
 
 def run_experiment(spec: ExperimentSpec):
@@ -145,7 +142,7 @@ def run_experiment(spec: ExperimentSpec):
     summary dict (also written to summary.txt / summary.csv)."""
     os.makedirs(spec.output_dir, exist_ok=True)
     oracle, f_star = build_problem(spec)
-    csv_paths = []
+    minima = {}
     diverged = []
     errors = {}
     for r in range(1, spec.rounds + 1):
@@ -162,48 +159,48 @@ def run_experiment(spec: ExperimentSpec):
             if result.termination is Termination.Diverged:
                 diverged.append(f"{method}/round{r}")
             else:
-                csv_paths.append(path)
+                minima[(method, r)] = (min(rec.grad_norm for rec in result.trace),
+                                       min(rec.f_value for rec in result.trace))
             if spec.svg and r == 1:
                 write_svg(os.path.join(spec.output_dir, f"{method}_round01.svg"),
                           result.trace)
-    summary = summarize(csv_paths, f_star=f_star)
+    summary = _summary_table(minima, f_star)
     summary["diverged"] = sorted(diverged)
     summary["errors"] = {f"{m}/round{r}": msg for (m, r), msg in errors.items()}
     _write_summary(spec.output_dir, summary)
     return summary
 
 
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
-        return [dict(zip(header, row)) for row in reader]
-
-
 def summarize(csv_paths, f_star=None):
-    """Best/average over rounds of the per-round minima of grad_norm and the
-    function-value gap. Method and round are parsed from the file names
-    (<method>_round<NN>.csv)."""
-    per_round_g = {}
-    per_round_f = {}
+    """The summary of saved trace CSVs named <method>_round<NN>.csv, as
+    ``run_experiment`` builds it from its in-memory traces."""
+    minima = {}
     for path in csv_paths:
         stem = os.path.splitext(os.path.basename(path))[0]
         method, _, round_tag = stem.rpartition("_round")
-        key = (method, int(round_tag))
-        rows = _read_csv(path)
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            if header != CSV_HEADER:
+                raise ValueError(f"{path}: unexpected CSV header {header}")
+            rows = list(reader)
         if not rows:
             raise ValueError(f"{path}: no records")
-        per_round_g[key] = min(float(r["grad_norm"]) for r in rows)
-        per_round_f[key] = min(float(r["f_value"]) for r in rows)
+        minima[(method, int(round_tag))] = (min(float(r[6]) for r in rows),  # grad_norm
+                                            min(float(r[5]) for r in rows))  # f_value
+    return _summary_table(minima, f_star)
+
+
+def _summary_table(minima, f_star):
+    """Best/average over rounds of ``{(method, round): (min grad_norm, min f_value)}``;
+    the f gap is against f_star, or against the least f minimum when it is None."""
     if f_star is None:
-        f_star = min(per_round_f.values()) if per_round_f else 0.0
-    methods = sorted({m for m, _ in per_round_g})
+        f_star = min(f for _, f in minima.values()) if minima else 0.0
     table = {}
-    for m in methods:
-        gmins = [v for (mm, _), v in sorted(per_round_g.items()) if mm == m]
-        fgaps = [v - f_star for (mm, _), v in sorted(per_round_f.items()) if mm == m]
+    for m in sorted({m for m, _ in minima}):
+        rounds = [v for (mm, _), v in sorted(minima.items()) if mm == m]
+        gmins = [g for g, _ in rounds]
+        fgaps = [f - f_star for _, f in rounds]
         table[m] = {
             "best_grad_norm": min(gmins),
             "avg_grad_norm": sum(gmins) / len(gmins),

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, as_vector
+from .core import ObjectiveOracle, as_vector, norm
 
 
 class EstimationError(RuntimeError):
@@ -53,11 +53,11 @@ def _max_ratio(probe, points, center):
     best = 0.0
     seen = False
     for a, b in _pairs(points, center):
-        dist = float(np.linalg.norm(a - b))
+        dist = norm(a - b)
         if dist < 1e-12:
             continue
         seen = True
-        best = max(best, float(np.linalg.norm(at(a) - at(b))) / dist)
+        best = max(best, norm(at(a) - at(b)) / dist)
     if not seen:
         raise EstimationError("all sampled pairs degenerate")
     return max(1.0, best)
@@ -72,7 +72,7 @@ def _estimate(order, oracle, center, radius, n_samples, seed, make_probe):
         raise ValueError("radius must be positive")
     growth = oracle.growth1 if order == 1 else oracle.growth2
     if growth is not None:
-        r = float(np.linalg.norm(center)) + radius
+        r = norm(center) + radius
         return LipschitzEstimate(max(1.0, float(growth(r))), "analytic")
     if n_samples < 2:
         raise ValueError("need at least 2 samples without analytic growth")
@@ -105,7 +105,7 @@ def estimate_l2(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -
 
     def hess_vec(rng):
         u = rng.standard_normal(np.size(center))
-        u /= np.linalg.norm(u)
+        u /= norm(u)
         return lambda p: (oracle.gradient(p + h * u) - oracle.gradient(p - h * u)) / (2.0 * h)
 
     return _estimate(2, oracle, center, radius, n_samples, seed, hess_vec)

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .agp import a_agp
-from .core import ObjectiveOracle, RunResult, SloConfig, Subroutine, drive
+from .core import ObjectiveOracle, RunResult, SloConfig, Subroutine, drive, norm
 from .lipschitz import estimate_l1, estimate_l2
 from .subroutines import LsParams, a_gp, a_ls, a_ng
 
@@ -56,7 +54,7 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
                 x_next, _, _ = a_ls(counting, x, -g, ls_params, grad=g, f_x=f)
             else:
                 x_next, _ = a_agp(counting, x, l1, l2, anchor, D, config.epsilon)
-            dist = float(np.linalg.norm(x_next - anchor))
+            dist = norm(x_next - anchor)
             if dist > D + slack:
                 raise ContractViolation(
                     f"subroutine produced a point at distance {dist:g} > D = {D:g}"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, as_vector, check_finite, project_ball
+from .core import ObjectiveOracle, as_vector, check_finite, norm, project_ball
 
 
 class DirectionError(ValueError):
@@ -42,7 +42,7 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None):
     center = as_vector(center)
     if eta <= 0 or r <= 0:
         raise ValueError("eta and r must be positive")
-    if np.linalg.norm(x - center) > r * (1 + 1e-12):
+    if norm(x - center) > r * (1 + 1e-12):
         raise ValueError("a_gp requires x inside B(center, r)")
     g = oracle.gradient(x) if grad is None else grad
     return check_finite(project_ball(x - eta * g, center, r), "a_gp output")
@@ -54,7 +54,7 @@ def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):
     if l1 < 1 or d <= 0:
         raise ValueError("require l1 >= 1 and d > 0")
     g = oracle.gradient(x) if grad is None else grad
-    gnorm = float(np.linalg.norm(g))
+    gnorm = norm(g)
     if gnorm == 0.0:
         return x.copy()
     if gnorm <= l1 * d:
@@ -72,12 +72,12 @@ def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x
     """
     x = as_vector(x)
     d = as_vector(direction)
-    dnorm = float(np.linalg.norm(d))
+    dnorm = norm(d)
     if dnorm == 0.0:
         raise DirectionError("direction must be nonzero")
     g = oracle.gradient(x) if grad is None else grad
     slope = float(np.dot(g, d))
-    gnorm = float(np.linalg.norm(g))
+    gnorm = norm(g)
     bound = -params.alpha * gnorm * dnorm
     if slope > bound + 1e-12 * max(1.0, abs(bound)):
         raise DirectionError(

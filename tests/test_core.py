@@ -1,11 +1,17 @@
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import sloopt.core
+from sloopt.baselines import gd_fixed
 from sloopt.core import (CountingOracle, EvaluationError, SloConfig,
-                         Subroutine, as_vector, check_finite,
-                         finite_diff_gradient)
+                         Subroutine, Termination, as_vector, check_finite,
+                         finite_diff_gradient, norm)
 from sloopt.problems import QuadraticProblem, QuarticProblem
 
 
@@ -19,6 +25,28 @@ def test_as_vector_shapes():
 def test_check_finite_rejects_nan():
     with pytest.raises(EvaluationError):
         check_finite(np.array([1.0, np.nan]), "x")
+
+
+def test_check_finite_tests_every_entry():
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(5):
+            v = np.ones(5)
+            v[i] = bad
+            with pytest.raises(EvaluationError, match="^x contains NaN or infinite entries$"):
+                check_finite(v, "x")
+    # squares of these overflow, so a sum-of-squares test would reject them
+    big = np.full(5, 1e308)
+    assert check_finite(big) is big
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 64),
+              elements=st.floats(-1e200, 1e200, allow_subnormal=True)))
+@example(np.full(3, 1e200))  # the sum of squares overflows to inf
+@example(np.array([5e-324, -5e-324]))  # and here underflows to 0
+def test_norm_is_bit_identical_to_numpy(v):
+    with np.errstate(over="ignore"):
+        assert norm(v).hex() == float(np.linalg.norm(v)).hex()
 
 
 def test_counting_oracle_memoizes_repeat_queries():
@@ -96,3 +124,13 @@ def test_quartic_growth_bounds_dominate_true_constants():
     for r in (0.5, 1.0, 2.0):
         assert p.growth1(r) >= 3 * r * r - 1e-12
         assert p.growth2(r) >= 6 * r - 1e-12
+
+
+def test_time_budget_stops_at_the_first_row_over_it(monkeypatch):
+    ticks = iter(range(1000))  # a clock that advances 1 s per reading
+    monkeypatch.setattr(sloopt.core, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    result = gd_fixed(QuarticProblem(2), np.ones(2), 1e-6, time_budget_s=3.5)
+    assert result.termination is Termination.TimeBudget
+    assert result.trace[-1].elapsed_s > 3.5
+    assert all(rec.elapsed_s <= 3.5 for rec in result.trace[:-1])
+    assert len(result.trace) == 4

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import xml.etree.ElementTree as ET
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from sloopt.cli import main, parse_config_file
-from sloopt.harness import (CSV_HEADER, ExperimentSpec, run_experiment,
-                            summarize)
+from sloopt.core import IterationRecord
+from sloopt.harness import (CSV_HEADER, ExperimentSpec, _write_csv,
+                            build_problem, run_experiment, summarize)
 
 
 def read_rows(path):
@@ -85,6 +87,41 @@ def test_summarize_two_round_minima(tmp_path):
     assert stats["avg_grad_norm"] == pytest.approx(2e-6)
     assert stats["best_f_gap"] == 1.0
     assert stats["avg_f_gap"] == 1.0
+
+
+@pytest.mark.parametrize("kw,diverged", [
+    (dict(problem="quartic", rounds=2, init_c=1.5, gd_step=0.05, budget_evals=300), []),
+    (dict(problem="supervised"), ["gd/round1"]),  # gd diverges on the default instance
+])
+def test_summary_equals_summarize_of_written_csvs(tmp_path, kw, diverged):
+    spec = ExperimentSpec(methods=("gd", "pgd"), output_dir=str(tmp_path), **kw)
+    summary = run_experiment(spec)
+    assert summary["diverged"] == diverged
+    kept = [f"{m}_round{r:02d}.csv" for r in range(1, spec.rounds + 1) for m in spec.methods
+            if f"{m}/round{r}" not in diverged]
+    from_csv = summarize([str(tmp_path / name) for name in kept], f_star=build_problem(spec)[1])
+    assert summary["f_star"] == from_csv["f_star"]
+    assert summary["methods"] == from_csv["methods"]
+    assert set(summary["methods"]) == {"gd", "pgd"} - {d.split("/")[0] for d in diverged}
+
+
+def test_write_csv_bytes_equal_csv_writer(tmp_path):
+    values = (-0.0, 5e-324, 1e300, 0.1, -2.5e-17, math.inf)
+    trace = [IterationRecord(epoch=1 + i // 3, iter=i, f_value=values[i],
+                             grad_norm=values[-1 - i], dist_from_anchor=values[i - 2],
+                             cum_grad_evals=1_234_567 + i, elapsed_s=1e-7 * 10 ** i)
+             for i in range(len(values))]
+    _write_csv(tmp_path / "fast.csv", 3, trace)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for rec in trace:
+            writer.writerow([3, rec.epoch, rec.iter, rec.cum_grad_evals,
+                             "%.6f" % rec.elapsed_s, "%.17g" % rec.f_value,
+                             "%.17g" % rec.grad_norm, "%.17g" % rec.dist_from_anchor])
+    expected = (tmp_path / "reference.csv").read_bytes()
+    assert b"\r\n" in expected and b"1234567" in expected and b"-0," in expected
+    assert (tmp_path / "fast.csv").read_bytes() == expected
 
 
 def test_summarize_rejects_bad_schema(tmp_path):
