@@ -171,13 +171,8 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
             y_hist.append(yt)
             if f_hat.value(yt) <= f_y0:
                 return UpgOutcome(1, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
-            pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], y0, alpha)
-            if pair is None:
-                raise AgpError("boundary exit without descent but no NC pair found; "
-                               "l1_hat is likely underestimated")
-            return UpgOutcome(2, nc_u=pair[0], nc_v=pair[1],
-                              y_history=[np.array(v) for v in y_hist],
-                              iters_t=t, iter_bound=bound_at_exit)
+            flag, w, exit_kind = 2, y0, "boundary exit without descent"
+            break
         yt = y_hist[t]
         x_hist.append(yt + omega * (yt - y_hist[t - 1]))
         gy = f_hat.gradient(yt)
@@ -193,13 +188,8 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
         if w is not None:
             if region.on_boundary(w):
                 return UpgOutcome(3, point_p=w, iters_t=t, iter_bound=bound_at_exit)
-            pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], w, alpha)
-            if pair is None:
-                raise AgpError("progress certificate failed but no NC pair found; "
-                               "l1_hat is likely underestimated")
-            return UpgOutcome(4, nc_u=pair[0], nc_v=pair[1],
-                              y_history=[np.array(v) for v in y_hist],
-                              iters_t=t, iter_bound=bound_at_exit)
+            flag, exit_kind = 4, "progress certificate failed"
+            break
         if norm(gy) <= math.sqrt(eps_hat):
             return UpgOutcome(5, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
         t += 1
@@ -208,6 +198,12 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
                 f"accelerated loop exceeded the safety cap of {cap} iterations; "
                 "the Lipschitz estimates are inconsistent with the objective"
             )
+    # flags 2 and 4: an NC pair among the iterates so far, tested against w
+    pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], w, alpha)
+    if pair is None:
+        raise AgpError(f"{exit_kind} but no NC pair found; l1_hat is likely underestimated")
+    return UpgOutcome(flag, nc_u=pair[0], nc_v=pair[1], y_history=[np.array(v) for v in y_hist],
+                      iters_t=t, iter_bound=bound_at_exit)
 
 
 def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon):

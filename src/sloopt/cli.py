@@ -31,23 +31,17 @@ def parse_config_file(path):
 
 
 def build_spec(file_values, args) -> ExperimentSpec:
-    kwargs = {}
-    params = {}
-    for key, val in file_values.items():
+    # each flag's dest is its key in the config file; flags override the file
+    flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    kwargs, params = {}, {}
+    for key, val in {**file_values, **flags}.items():
         if key == "method":
             kwargs["methods"] = tuple(v.strip() for v in val.split(","))
         elif key in _SPEC_KEYS:
             kwargs[key] = _SPEC_KEYS[key](val)
         else:
             params[key] = val
-    # each flag's dest is its spec field; flags override the config file
-    for key, val in vars(args).items():
-        if key in _SPEC_KEYS and val is not None:
-            kwargs[key] = val
-    if args.method is not None:
-        kwargs["methods"] = tuple(v.strip() for v in args.method.split(","))
-    kwargs["problem_params"] = params
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(**kwargs, problem_params=params)
 
 
 def main(argv=None) -> int:

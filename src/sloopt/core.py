@@ -9,10 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tolerance used for float equality in config validation.
-_CFG_TOL = 1e-12
-
-
 class EvaluationError(RuntimeError):
     """A function or gradient evaluation produced a non-finite number."""
 
@@ -130,41 +126,39 @@ class SloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.subroutine = Subroutine(self.subroutine)
-        if self.epsilon <= 0:
+        sub = self.subroutine = Subroutine(self.subroutine)
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.radius_D <= 0:
             raise ValueError("radius_D must be positive")
-        if self.margin_d < 0:
-            raise ValueError("margin_d must be nonnegative")
         if self.max_epochs <= 0 or self.max_total_grad_evals <= 0:
             raise ValueError("budgets must be positive")
-        root_eps = math.sqrt(self.epsilon)
-        sub = self.subroutine
-        if sub is Subroutine.GP:
-            if self.margin_d != 0:
-                raise ValueError("GP requires margin_d = 0")
-            if self.radius_D < root_eps / 2 - _CFG_TOL:
-                raise ValueError("GP requires radius_D >= sqrt(eps)/2")
-        elif sub is Subroutine.NGD:
-            if self.margin_d < root_eps - _CFG_TOL:
-                raise ValueError("NGD requires margin_d >= sqrt(eps)")
-            if self.radius_D < root_eps / 2 + 2 * self.margin_d - _CFG_TOL:
-                raise ValueError("NGD requires radius_D >= sqrt(eps)/2 + 2*margin_d")
-        elif sub is Subroutine.LS:
-            if not (
-                math.isclose(self.radius_D, self.ls_delta_bar, rel_tol=_CFG_TOL)
-                and math.isclose(self.margin_d, self.ls_delta_bar, rel_tol=_CFG_TOL)
-            ):
-                raise ValueError("LS requires radius_D = margin_d = ls_delta_bar")
-            if self.ls_delta_bar <= root_eps:
-                raise ValueError("LS requires ls_delta_bar > sqrt(eps)")
-        elif sub is Subroutine.AGP:
-            quarter = self.epsilon ** 0.25
-            if not math.isclose(self.margin_d, 2 * quarter, rel_tol=1e-9):
-                raise ValueError("AGP requires margin_d = 2*eps^(1/4)")
-            if self.radius_D < 6 * quarter - _CFG_TOL:
-                raise ValueError("AGP requires radius_D >= 6*eps^(1/4)")
+        radius, margin = epoch_geometry(sub, self.epsilon, self.radius_D, self.margin_d)
+        if not (self.radius_D >= radius - 1e-12 and self.margin_d == margin):
+            raise ValueError(f"{sub.value} at epsilon {self.epsilon!r} rejects (radius_D, margin_d)"
+                             f" = ({self.radius_D!r}, {self.margin_d!r}); the nearest valid ball"
+                             f" is ({radius!r}, {margin!r})")
+        if sub is Subroutine.LS and not self.ls_delta_bar == self.radius_D == self.margin_d:
+            raise ValueError("LS requires radius_D = margin_d = ls_delta_bar")
+
+
+def epoch_geometry(sub: Subroutine, epsilon: float, radius: float, margin: float):
+    """The epoch ball ``(radius_D, margin_d)`` of subroutine ``sub`` at tolerance
+    ``epsilon``: the requested ``radius`` and ``margin`` where the paper's
+    conditions allow them, else the nearest ball that meets them. ``SloConfig``
+    accepts exactly its fixed points, with ``radius_D`` up to 1e-12 short.
+    """
+    sub, root_eps = Subroutine(sub), math.sqrt(epsilon)
+    if sub is Subroutine.GP:
+        return max(radius, root_eps / 2), 0.0
+    if sub is Subroutine.NGD:
+        margin = max(margin, root_eps)
+        return max(radius, root_eps / 2 + 2 * margin), margin
+    if sub is Subroutine.LS:  # one radius: the ball, the margin and the step cap
+        radius = radius if radius > root_eps else 2 * root_eps
+        return radius, radius
+    margin = 2.0 * epsilon ** 0.25
+    return max(radius, 3 * margin), margin
 
 
 @dataclass
@@ -217,6 +211,9 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
     """
     counting = CountingOracle(oracle, max(1, max_grad_evals))  # the start is always traced
     x = as_vector(x_start).copy()
+    if x.size != oracle.dim:
+        raise ValueError(f"x_start has {x.size} entries but the oracle's dimension is "
+                         f"{oracle.dim}")
     t0 = time.monotonic()
     trace: list[IterationRecord] = []
     f_prev = math.inf

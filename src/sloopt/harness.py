@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, problems, slo
-from .core import SloConfig, Subroutine, Termination
+from .core import SloConfig, Subroutine, Termination, epoch_geometry
 
 CSV_HEADER = ["round", "epoch", "iter", "grad_evals", "elapsed_s",
               "f_value", "grad_norm", "dist_from_anchor"]
@@ -37,8 +37,10 @@ class ExperimentSpec:
     problem_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        if self.rounds < 1 or self.budget_evals < 1:
+            raise ValueError("rounds and budget_evals must be >= 1")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -101,22 +103,11 @@ def _run_bpg(spec: ExperimentSpec, oracle, x0):
 
 def _run_slo(sub: Subroutine):
     """Runner of the epoch solver with subroutine ``sub``; the spec's radius
-    and margin are widened to what the subroutine requires."""
+    and margin are widened to the nearest valid epoch ball (``epoch_geometry``)."""
     def run(spec: ExperimentSpec, oracle, x0):
-        eps, D, d = spec.epsilon, spec.radius, spec.margin
-        root_eps = math.sqrt(eps)
-        if sub is Subroutine.GP:
-            D, d = max(D, root_eps / 2), 0.0
-        elif sub is Subroutine.NGD:
-            d = max(d, root_eps)
-            D = max(D, root_eps / 2 + 2 * d)
-        elif sub is Subroutine.LS:
-            D = d = max(D, 2 * root_eps)
-        else:
-            d = 2.0 * eps ** 0.25
-            D = max(D, 3 * d)
+        D, d = epoch_geometry(sub, spec.epsilon, spec.radius, spec.margin)
         return slo.run_slo(oracle, x0, SloConfig(
-            epsilon=eps, radius_D=D, margin_d=d, subroutine=sub, ls_delta_bar=D,
+            epsilon=spec.epsilon, radius_D=D, margin_d=d, subroutine=sub, ls_delta_bar=D,
             seed=spec.seed, max_total_grad_evals=spec.budget_evals,
             time_budget_s=spec.budget_seconds))
     return run

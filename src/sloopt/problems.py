@@ -140,6 +140,8 @@ class LinearNetProblem(ObjectiveOracle):
         self.mode = mode
         if mode not in ("autoencoder", "supervised"):
             raise ValueError("mode must be 'autoencoder' or 'supervised'")
+        if not self.layer_dims:
+            raise ValueError("layer_dims must list at least one layer")
         if self.layer_dims[0][1] != self.data_X.shape[0]:
             raise ValueError("cols(W_1) must equal rows(data_X)")
         for (r_lo, _), (_, c_hi) in zip(self.layer_dims[:-1], self.layer_dims[1:]):
@@ -294,6 +296,8 @@ def generate_planted_labels(layer_dims, data_X, seed):
     rng = np.random.default_rng(seed)
     data_X = np.asarray(data_X, dtype=float)
     dims = [tuple(map(int, s)) for s in layer_dims]
+    if not dims:
+        raise ValueError("layer_dims must list at least one layer")
     if dims[0][1] != data_X.shape[0]:
         raise ValueError("cols(W_1) must equal rows(data_X)")
     mats = []

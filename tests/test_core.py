@@ -134,3 +134,14 @@ def test_time_budget_stops_at_the_first_row_over_it(monkeypatch):
     assert result.trace[-1].elapsed_s > 3.5
     assert all(rec.elapsed_s <= 3.5 for rec in result.trace[:-1])
     assert len(result.trace) == 4
+
+
+@pytest.mark.parametrize("method", ["run_slo", "gd_fixed"])
+def test_drive_rejects_a_start_of_another_length(method):
+    from sloopt.slo import run_slo
+
+    cfg = SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP)
+    run = {"run_slo": lambda o, x: run_slo(o, x, cfg),
+           "gd_fixed": lambda o, x: gd_fixed(o, x, 1e-3)}
+    with pytest.raises(ValueError, match="x_start has 3 entries but the oracle's dimension is 50"):
+        run[method](QuarticProblem(50), np.ones(3))

@@ -247,3 +247,21 @@ def test_cli_bad_flag_value(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--problem", "autoencoder", "--config", "layers.cfg"],
+     "ValueError: layer_dims must list at least one layer"),
+    (["--problem", "supervised", "--config", "layers.cfg"],
+     "ValueError: layer_dims must list at least one layer"),
+    (["--problem", "quartic", "--epsilon", "-1"], "ValueError: epsilon must be positive"),
+    (["--problem", "quartic", "--budget-evals", "0"],
+     "ValueError: rounds and budget_evals must be >= 1"),
+], ids=["net-one-width-autoencoder", "net-one-width-supervised", "epsilon", "budget-evals"])
+def test_cli_reports_configuration_errors_before_any_run(tmp_path, capsys, args, message):
+    (tmp_path / "layers.cfg").write_text("net_layers = 6\n")
+    args = [str(tmp_path / a) if a == "layers.cfg" else a for a in args]
+    code = main(args + ["--method", "gd,pgd", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "out" / "gd_round01.csv")
