@@ -33,15 +33,10 @@ def bpg_subproblem(g, l_relative, n, eps0):
         raise ValueError("bpg_subproblem requires g != 0")
     L = float(l_relative)
     # hoisted out of the bisection with the docstring formula's left-to-right
-    # product grouping, so each p'(rho) is the same to the bit
+    # product grouping, so each p'(rho) below is the same to the bit
     g2, lgn, lg2 = gn ** 2, L * gn ** n, L * gn ** 2
-
-    def dp(rho):
-        return -g2 + lgn * rho ** (n - 1) + lg2 * rho
-
-    rho0, rho1 = 0.0, 1.0
-    doublings = 0
-    while dp(rho1) < 0.0:
+    rho0, rho1, doublings = 0.0, 1.0, 0
+    while -g2 + lgn * rho1 ** (n - 1) + lg2 * rho1 < 0.0:
         rho1 *= 2.0
         doublings += 1
         if doublings > 1000:
@@ -50,7 +45,7 @@ def bpg_subproblem(g, l_relative, n, eps0):
         mid = 0.5 * (rho0 + rho1)
         if mid <= rho0 or mid >= rho1:
             break  # bracket narrower than floating-point resolution
-        if dp(mid) < 0.0:
+        if -g2 + lgn * mid ** (n - 1) + lg2 * mid < 0.0:
             rho0 = mid
         else:
             rho1 = mid

@@ -24,7 +24,7 @@ def as_vector(x) -> np.ndarray:
 
 
 def check_finite(v: np.ndarray, what: str = "vector") -> np.ndarray:
-    if not np.isfinite(v).all():
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise EvaluationError(f"{what} contains NaN or infinite entries")
     return v
 
@@ -32,7 +32,8 @@ def check_finite(v: np.ndarray, what: str = "vector") -> np.ndarray:
 class ObjectiveOracle:
     """Deterministic value/gradient oracle for a smooth objective.
 
-    Subclasses set ``dim`` and implement ``value`` and ``gradient``.
+    Subclasses set ``dim`` and implement ``value`` and ``gradient``; a
+    gradient is a new array, which callers may keep and mark read-only.
     ``growth1(r)`` / ``growth2(r)``, when not None, are analytic gradient-
     and Hessian-Lipschitz bounds valid on the ball of radius r around the
     origin; they must be nondecreasing in r and floored at 1.
@@ -41,6 +42,19 @@ class ObjectiveOracle:
     dim: int
     growth1 = None
     growth2 = None
+    _memo = (None, None)  # (point bytes, intermediates) of the latest point
+
+    def _at(self, x, compute):
+        """``(v, compute(v))`` for v = as_vector(x), memoized by v's bytes once both passed,
+        so value and gradient at one point share the work. compute returns no views of v."""
+        v = np.asarray(x, dtype=float)
+        key = v.tobytes()
+        if v.ndim == 1 and key == self._memo[0]:
+            return v, self._memo[1]
+        v = as_vector(v)
+        out = compute(v)
+        self._memo = (key, out)
+        return v, out
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -70,8 +84,6 @@ class CountingOracle(ObjectiveOracle):
         self.growth2 = base.growth2
         self.grad_evals = 0
         self.value_evals = 0
-        self._memo_key = None
-        self._memo_grad = None
 
     def value(self, x):
         self.value_evals += 1
@@ -79,15 +91,14 @@ class CountingOracle(ObjectiveOracle):
 
     def gradient(self, x):
         key = x.tobytes()
-        if key == self._memo_key:
-            return self._memo_grad
+        if key == self._memo[0]:
+            return self._memo[1]
         if self.grad_evals >= self.max_grad_evals:
             raise _BudgetSpent
-        g = check_finite(self.base.gradient(x), "gradient").view()
-        g.flags.writeable = False
+        g = check_finite(self.base.gradient(x), "gradient")
+        g.setflags(write=False)
         self.grad_evals += 1
-        self._memo_key = key
-        self._memo_grad = g
+        self._memo = (key, g)
         return g
 
 

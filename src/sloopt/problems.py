@@ -60,7 +60,7 @@ class SymTensorProblem(ObjectiveOracle):
         self.dim = self.rank_m * self.dim_d
 
     def _blocks(self, x: np.ndarray):
-        x = as_vector(x)
+        """The m x d blocks of a vector that passed ``as_vector``."""
         if x.size != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {x.size}")
         return x.reshape(self.rank_m, self.dim_d)
@@ -72,10 +72,10 @@ class SymTensorProblem(ObjectiveOracle):
         return r
 
     def value(self, x):
-        return float(np.sum(self._residual(self._blocks(x)) ** 2))
+        return float(np.sum(self._residual(self._blocks(as_vector(x))) ** 2))
 
     def gradient(self, x):
-        blocks = self._blocks(x)
+        blocks = self._blocks(as_vector(x))
         resid = self._residual(blocks)
         k = self.order_k
         g = np.empty_like(blocks)
@@ -114,13 +114,18 @@ class PlantedTensorProblem(SymTensorProblem):
     def tensor(self) -> np.ndarray:
         return tensor_from_components(self.components, self.order_k)
 
+    def _grams(self, x):
+        xs = self._blocks(x)
+        return xs @ xs.T, xs @ self.components.T
+
     def value(self, x):
-        xs, c, k = self._blocks(x), self.components, self.order_k
-        return float(np.sum((xs @ xs.T) ** k) - 2.0 * np.sum((xs @ c.T) ** k) + self._const)
+        k, (gram, cross) = self.order_k, self._at(x, self._grams)[1]
+        return float((gram ** k).sum() - 2.0 * (cross ** k).sum() + self._const)
 
     def gradient(self, x):
-        xs, c, k = self._blocks(x), self.components, self.order_k
-        g = (xs @ xs.T) ** (k - 1) @ xs - (xs @ c.T) ** (k - 1) @ c
+        x, (gram, cross) = self._at(x, self._grams)
+        xs, k = self._blocks(x), self.order_k
+        g = gram ** (k - 1) @ xs - cross ** (k - 1) @ self.components
         return (2.0 * k) * g.reshape(-1)
 
 
@@ -160,7 +165,7 @@ class LinearNetProblem(ObjectiveOracle):
         self.dim = sum(r * c for r, c in self.layer_dims)
 
     def split(self, w: np.ndarray):
-        w = as_vector(w)
+        """Views of W_1, ..., W_m in a vector that passed ``as_vector``."""
         if w.size != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {w.size}")
         mats, pos = [], 0
@@ -173,25 +178,26 @@ class LinearNetProblem(ObjectiveOracle):
     def flatten(mats) -> np.ndarray:
         return np.concatenate([np.asarray(m, dtype=float).reshape(-1) for m in mats])
 
+    def _forward(self, w):
+        acts = [self.data_X]  # a[i] = W_i ... W_1 X
+        for m in self.split(w):
+            acts.append(m @ acts[-1])
+        return acts
+
     def value(self, w):
-        mats = self.split(w)
-        p = self.data_X
-        for m in mats:
-            p = m @ p
-        return float(np.sum((self.target - p) ** 2))
+        _, acts = self._at(w, self._forward)
+        return float(((self.target - acts[-1]) ** 2).sum())
 
     def gradient(self, w):
-        mats = self.split(w)
-        # forward activations: a[i] = W_i ... W_1 X, with a[0] = X
-        acts = [self.data_X]
-        for m in mats:
-            acts.append(m @ acts[-1])
+        w, acts = self._at(w, self._forward)
+        g, end = np.empty(self.dim), self.dim
         back = 2.0 * (acts[-1] - self.target)
-        grads = [None] * len(mats)
-        for i in range(len(mats) - 1, -1, -1):
-            grads[i] = back @ acts[i].T
-            back = mats[i].T @ back
-        return self.flatten(grads)
+        for i, (r, c) in reversed(list(enumerate(self.layer_dims))):
+            g[end - r * c:end] = (back @ acts[i].T).reshape(-1)
+            if i:  # W_1^T @ back is never read
+                back = w[end - r * c:end].reshape(r, c).T @ back
+            end -= r * c
+        return g
 
 
 def _unit_bound(self, r):
@@ -247,6 +253,10 @@ class LinearProblem(ObjectiveOracle):
         return self.slope.copy()
 
 
+def _squared_norm(x):
+    return float(np.dot(x, x))
+
+
 class QuarticProblem(ObjectiveOracle):
     """f(x) = 0.25 ||x||^4, the canonical degree-4 polynomial test objective.
 
@@ -265,13 +275,12 @@ class QuarticProblem(ObjectiveOracle):
         return max(1.0, 6.0 * r)
 
     def value(self, x):
-        x = as_vector(x)
-        n2 = float(np.dot(x, x))
+        _, n2 = self._at(x, _squared_norm)
         return 0.25 * n2 * n2
 
     def gradient(self, x):
-        x = as_vector(x)
-        return float(np.dot(x, x)) * x
+        x, n2 = self._at(x, _squared_norm)
+        return n2 * x
 
 
 def generate_planted_tensor(dim_d, order_k, rank_m, scale_low, scale_high, seed):

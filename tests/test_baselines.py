@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sloopt.baselines import (BpgConfig, bpg_step, bpg_subproblem, gd_fixed,
                               run_bpg)
-from sloopt.core import Termination
+from sloopt.core import Termination, as_vector, norm
 from sloopt.harness import ExperimentSpec, build_problem, run_experiment
 from sloopt.problems import (QuadraticProblem, QuarticProblem,
                              generate_planted_tensor, uniform_init)
@@ -49,6 +51,49 @@ def test_subproblem_residual_bracketed():
     # residual is bounded by the slope across one bracket width
     slope = 3 * gn ** 4 * rho ** 2 + gn ** 2
     assert abs(dp) <= slope * 1e-12 * 1.01
+
+
+def nested_dp_bpg_subproblem(g, l_relative, n, eps0):
+    """bpg_subproblem with p'(rho) in a nested function, as it was written before
+    the bisection evaluated p'(rho) inline; the reference for bit identity."""
+    g = as_vector(g)
+    gn = norm(g)
+    if gn == 0.0:
+        raise ValueError("bpg_subproblem requires g != 0")
+    L = float(l_relative)
+    g2, lgn, lg2 = gn ** 2, L * gn ** n, L * gn ** 2
+
+    def dp(rho):
+        return -g2 + lgn * rho ** (n - 1) + lg2 * rho
+
+    rho0, rho1 = 0.0, 1.0
+    doublings = 0
+    while dp(rho1) < 0.0:
+        rho1 *= 2.0
+        doublings += 1
+        if doublings > 1000:
+            raise ArithmeticError("bpg_subproblem bracket expansion overflow")
+    while rho1 - rho0 > eps0:
+        mid = 0.5 * (rho0 + rho1)
+        if mid <= rho0 or mid >= rho1:
+            break
+        if dp(mid) < 0.0:
+            rho0 = mid
+        else:
+            rho1 = mid
+    return 0.5 * (rho0 + rho1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gn=st.floats(1e-6, 1e3), L=st.floats(1e-3, 1e3), n=st.sampled_from([2, 3, 4, 6, 10]),
+       eps0=st.sampled_from([1e-16, 1e-12, 1e-8, 1e-3]), dim=st.integers(1, 4))
+@example(gn=1e-6, L=1.0, n=4, eps0=1e-12, dim=1)
+@example(gn=1e3, L=1.0, n=10, eps0=1e-12, dim=3)
+def test_subproblem_is_bit_identical_to_the_nested_form(gn, L, n, eps0, dim):
+    g = np.full(dim, gn / math.sqrt(dim))
+    g[0] = -g[0]
+    assert (bpg_subproblem(g, L, n, eps0).hex()
+            == nested_dp_bpg_subproblem(g, L, n, eps0).hex())
 
 
 def test_subproblem_rejects_zero_gradient():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import sloopt.core
 from sloopt.baselines import gd_fixed
@@ -37,6 +37,16 @@ def test_check_finite_tests_every_entry():
     # squares of these overflow, so a sum-of-squares test would reject them
     big = np.full(5, 1e308)
     assert check_finite(big) is big
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)))
+def test_check_finite_verdict_on_any_shape(v):
+    if np.isfinite(v).all():
+        assert check_finite(v, "x") is v
+    else:
+        with pytest.raises(EvaluationError, match="^x contains NaN or infinite entries$"):
+            check_finite(v, "x")
 
 
 @settings(max_examples=300, deadline=None)

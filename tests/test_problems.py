@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sloopt.core import finite_diff_gradient
+from sloopt.core import EvaluationError, finite_diff_gradient
 from sloopt.problems import (LinearNetProblem, PlantedTensorProblem,
                              QuarticProblem, SymTensorProblem,
                              generate_planted_labels,
@@ -139,3 +139,67 @@ def test_planted_tensor_is_symmetric(seed):
     t = prob.tensor
     np.testing.assert_allclose(t, np.transpose(t, (1, 0, 2)), atol=1e-12)
     np.testing.assert_allclose(t, np.transpose(t, (2, 1, 0)), atol=1e-12)
+
+
+_NET_X = np.random.default_rng(5).standard_normal((3, 7))
+_NET_Y, _ = generate_planted_labels([(2, 3), (4, 2)], _NET_X, 6)
+# Builders of a fresh instance of each problem whose value and gradient share a memo.
+MEMO_PROBLEMS = {
+    "planted": lambda: generate_planted_tensor(3, 5, 2, 0.5, 1.5, 0)[0],
+    "autoencoder": lambda: LinearNetProblem(_NET_X, [(2, 3), (4, 2), (3, 4)], "autoencoder"),
+    "supervised": lambda: LinearNetProblem(_NET_X, [(2, 3), (4, 2)], "supervised", _NET_Y),
+    "quartic": lambda: QuarticProblem(6),
+}
+# Each call hands the point over in a new object: a copy, a list, or a strided view.
+FORMS = {"copy": np.copy, "list": lambda x: x.tolist(),
+         "strided": lambda x: np.repeat(x, 2)[::2]}
+
+
+def _bits(out):
+    return out.hex() if isinstance(out, float) else (out.dtype, out.shape, out.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(MEMO_PROBLEMS)), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(["call", "mutate", "2-D", "non-finite"]),
+                          st.sampled_from(["value", "gradient"]), st.integers(0, 2),
+                          st.sampled_from(sorted(FORMS))), min_size=1, max_size=14))
+def test_memo_answers_as_a_fresh_instance(name, seed, ops):
+    """Any interleaving of value/gradient calls returns the bits a fresh instance
+    returns at the same point, and rejects what ``as_vector`` rejects."""
+    prob = MEMO_PROBLEMS[name]()
+    rng = np.random.default_rng(seed)
+    points = [rng.uniform(-1.5, 1.5, prob.dim) for _ in range(3)]
+    answers = []  # (answer, its bits when returned): later calls must not change it
+    last = points[0].copy()  # the caller's array of the latest call
+
+    def check(method, x):
+        expect = getattr(MEMO_PROBLEMS[name](), method)(np.array(x, dtype=float))
+        got = getattr(prob, method)(x)
+        assert _bits(got) == _bits(expect)
+        answers.append((got, _bits(got)))
+
+    for op, method, i, form in ops:
+        if op == "call":
+            last = points[i].copy()
+            check(method, last)
+            check(method, FORMS[form](last))
+        elif op == "mutate":  # the caller's array changes after a call
+            last = points[i].copy()
+            check(method, last)
+            last[i % last.size] += 0.25
+            check("gradient", FORMS[form](points[i]))
+            check("value", points[i].copy())
+            check(method, last)
+        elif op == "2-D":  # the memoized bytes, shaped as a matrix
+            with pytest.raises(ValueError):
+                getattr(prob, method)(last.reshape(1, -1))
+        else:  # the same non-finite point twice, after a finite one
+            bad = last.copy()
+            bad[i % bad.size] = (np.nan, np.inf, -np.inf)[i]
+            for _ in range(2):
+                with pytest.raises(EvaluationError):
+                    getattr(prob, method)(bad)
+    check("value", last)
+    for got, bits in answers:
+        assert _bits(got) == bits
