@@ -17,7 +17,8 @@ class AgpError(RuntimeError):
 
 
 class AugmentedOracle(ObjectiveOracle):
-    """The proximally regularized objective f(x) + agp_alpha * ||x - anchor||^2."""
+    """The proximally regularized objective f(x) + agp_alpha * ||x - anchor||^2.
+    The base oracle validates each x before x - anchor is formed."""
 
     def __init__(self, base: ObjectiveOracle, anchor_xbar, agp_alpha: float):
         if agp_alpha <= 0:
@@ -28,12 +29,13 @@ class AugmentedOracle(ObjectiveOracle):
         self.agp_alpha = float(agp_alpha)
 
     def value(self, x):
-        d = as_vector(x) - self.anchor_xbar
-        return self.base.value(x) + self.agp_alpha * float(np.dot(d, d))
+        f = self.base.value(x)
+        d = x - self.anchor_xbar
+        return f + self.agp_alpha * float(np.dot(d, d))
 
     def gradient(self, x):
-        d = as_vector(x) - self.anchor_xbar
-        return self.base.gradient(x) + 2.0 * self.agp_alpha * d
+        g = self.base.gradient(x)
+        return g + 2.0 * self.agp_alpha * (x - self.anchor_xbar)
 
 
 @dataclass

@@ -20,7 +20,7 @@ class BpgConfig:
     def __post_init__(self):
         if self.poly_degree_n < 2:
             raise ValueError("poly_degree_n must be >= 2")
-        if self.l_relative <= 0:
+        if not self.l_relative > 0:
             raise ValueError("l_relative must be positive")
 
 

@@ -53,13 +53,8 @@ def main(argv=None) -> int:
     parser.add_argument("--problem", choices=PROBLEMS)
     parser.add_argument("--method",
                         help=f"comma-separated subset of {','.join(METHODS)}")
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--radius", type=float)
-    parser.add_argument("--margin", type=float)
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--budget-evals", type=int, dest="budget_evals")
-    parser.add_argument("--budget-seconds", type=float, dest="budget_seconds")
+    for key in ("epsilon", "radius", "margin", "rounds", "seed", "budget_evals", "budget_seconds"):
+        parser.add_argument("--" + key.replace("_", "-"), type=_SPEC_KEYS[key], dest=key)
     parser.add_argument("--out", dest="output_dir")
     args = parser.parse_args(argv)
     try:

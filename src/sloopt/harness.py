@@ -46,23 +46,29 @@ class ExperimentSpec:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem: {self.problem}")
-        unread = set(self.problem_params) - PROBLEMS[self.problem][1]
+        unread = self.problem_params.keys() - PROBLEMS[self.problem][1]
         if unread:
             raise ValueError(f"keys not read by problem {self.problem}: {sorted(unread)}")
+        if "gd" in self.methods and not self.gd_step > 0:
+            raise ValueError("gd_step must be positive")
+        if "bpg" in self.methods:
+            if self.bpg_n is None or self.bpg_l is None:
+                raise ValueError("bpg requires bpg_n and bpg_l")
+            baselines.BpgConfig(self.bpg_n, self.bpg_l)
 
 
 def _tensor_problem(spec: ExperimentSpec, p: dict):
     prob, _ = problems.generate_planted_tensor(
-        int(p.get("tensor_d", 4)), int(p.get("tensor_k", 3)), int(p.get("tensor_m", 2)),
-        float(p.get("scale_low", 0.5)), float(p.get("scale_high", 1.5)), spec.seed)
+        int(p["tensor_d"]), int(p["tensor_k"]), int(p["tensor_m"]),
+        float(p["scale_low"]), float(p["scale_high"]), spec.seed)
     return prob, 0.0
 
 
 def _net_problem(spec: ExperimentSpec, p: dict):
     # net_layers lists the layer widths input-first, e.g. "6,4,4,6"
-    widths = [int(v) for v in str(p.get("net_layers", "6,4,4,6")).split(",")]
+    widths = [int(v) for v in str(p["net_layers"]).split(",")]
     shapes = [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
-    n_samples = int(p.get("net_samples", 50))
+    n_samples = int(p["net_samples"])
     rng = np.random.default_rng(spec.seed)
     data_x = rng.standard_normal((widths[0], n_samples))
     if spec.problem == "autoencoder":
@@ -71,20 +77,22 @@ def _net_problem(spec: ExperimentSpec, p: dict):
     return problems.LinearNetProblem(data_x, shapes, "supervised", labels), 0.0
 
 
-_NET_KEYS = {"net_layers", "net_samples"}
+_NET_KEYS = {"net_layers": "6,4,4,6", "net_samples": 50}
 # The problem names: each maps to a builder of (spec, problem_params) ->
-# (oracle, f_star or None) and the problem_params keys that builder reads.
+# (oracle, f_star or None) and the {key: default} of the keys it reads.
 PROBLEMS = {
-    "tensor": (_tensor_problem, {"tensor_d", "tensor_k", "tensor_m", "scale_low", "scale_high"}),
+    "tensor": (_tensor_problem, {"tensor_d": 4, "tensor_k": 3, "tensor_m": 2,
+                                 "scale_low": 0.5, "scale_high": 1.5}),
     "autoencoder": (_net_problem, _NET_KEYS), "supervised": (_net_problem, _NET_KEYS),
-    "quartic": (lambda spec, p: (problems.QuarticProblem(int(p.get("quartic_dim", 1))), 0.0),
-                {"quartic_dim"}),
+    "quartic": (lambda spec, p: (problems.QuarticProblem(int(p["quartic_dim"])), 0.0),
+                {"quartic_dim": 1}),
 }
 
 
 def build_problem(spec: ExperimentSpec):
     """Instantiate the oracle; returns (oracle, f_star or None)."""
-    return PROBLEMS[spec.problem][0](spec, spec.problem_params)
+    build, defaults = PROBLEMS[spec.problem]
+    return build(spec, {**defaults, **spec.problem_params})
 
 
 def _run_gd(spec: ExperimentSpec, oracle, x0):
@@ -94,8 +102,6 @@ def _run_gd(spec: ExperimentSpec, oracle, x0):
 
 
 def _run_bpg(spec: ExperimentSpec, oracle, x0):
-    if spec.bpg_l is None or spec.bpg_n is None:
-        raise ValueError("bpg requires bpg_n and bpg_l")
     config = baselines.BpgConfig(spec.bpg_n, spec.bpg_l, stop_grad_tol=math.sqrt(spec.epsilon))
     return baselines.run_bpg(oracle, x0, config, max_grad_evals=spec.budget_evals,
                              time_budget_s=spec.budget_seconds)

@@ -19,54 +19,12 @@ class LipschitzEstimate:
     method: str  # "analytic" or "sampled"
 
 
-def _sample_ball(rng, center, radius, n):
-    """n points uniform in the closed ball B(center, radius)."""
-    dim = center.size
-    directions = rng.standard_normal((n, dim))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = radius * rng.uniform(0.0, 1.0, size=n) ** (1.0 / dim)
-    return center + directions * radii[:, None]
-
-
-def _pairs(points, center):
-    """Disjoint sample pairs plus each sample paired with the center."""
-    n = len(points)
-    for i in range(0, n - 1, 2):
-        yield points[i], points[i + 1]
-    for p in points:
-        yield p, center
-
-
-def _max_ratio(probe, points, center):
-    """Max of ||probe(a) - probe(b)|| / ||a - b|| over the sample pairs. probe
-    runs once per distinct point, the center first, so that a caller's
-    one-entry gradient memo at the center still serves it."""
-    memo = {}
-
-    def at(p):
-        key = p.tobytes()
-        if key not in memo:
-            memo[key] = probe(p)
-        return memo[key]
-
-    at(center)
-    best = 0.0
-    seen = False
-    for a, b in _pairs(points, center):
-        dist = norm(a - b)
-        if dist < 1e-12:
-            continue
-        seen = True
-        best = max(best, norm(at(a) - at(b)) / dist)
-    if not seen:
-        raise EstimationError("all sampled pairs degenerate")
-    return max(1.0, best)
-
-
 def _estimate(order, oracle, center, radius, n_samples, seed, make_probe):
     """Shared body of the estimators: the analytic bound when the oracle has
-    one, else the max ratio over sample pairs of ``make_probe(rng)``, a
-    per-point function built from the generator after the points are drawn."""
+    one, else the max of ||probe(a) - probe(b)|| / ||a - b|| over seeded pairs
+    in the ball, floored at 1, with ``probe = make_probe(rng)`` built after the
+    points are drawn. probe runs once per point a pair needs, the center first,
+    so that a caller's one-entry gradient memo at the center still serves it."""
     center = as_vector(center)
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -76,10 +34,31 @@ def _estimate(order, oracle, center, radius, n_samples, seed, make_probe):
         return LipschitzEstimate(max(1.0, float(growth(r))), "analytic")
     if n_samples < 2:
         raise ValueError("need at least 2 samples without analytic growth")
+    # the center at index 0, then n_samples points uniform in the closed ball
     rng = np.random.default_rng(seed)
-    points = _sample_ball(rng, center, radius, n_samples)
-    value = _max_ratio(make_probe(rng), points, center)
-    return LipschitzEstimate(value, "sampled")
+    directions = rng.standard_normal((n_samples, center.size))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = radius * rng.uniform(0.0, 1.0, size=n_samples) ** (1.0 / center.size)
+    points = [center, *(center + directions * radii[:, None])]
+    probe = make_probe(rng)
+    probed = {0: probe(center)}
+    # disjoint sample pairs, then each sample paired with the center
+    pairs = [(i, i + 1) for i in range(1, n_samples, 2)]
+    pairs += [(i, 0) for i in range(1, n_samples + 1)]
+    best = 0.0
+    seen = False
+    for i, j in pairs:
+        dist = norm(points[i] - points[j])
+        if dist < 1e-12:
+            continue
+        seen = True
+        for k in (i, j):
+            if k not in probed:
+                probed[k] = probe(points[k])
+        best = max(best, norm(probed[i] - probed[j]) / dist)
+    if not seen:
+        raise EstimationError("all sampled pairs degenerate")
+    return LipschitzEstimate(max(1.0, best), "sampled")
 
 
 def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -> LipschitzEstimate:

@@ -5,8 +5,8 @@ import pytest
 
 from sloopt.agp import (AgpError, AgpRegion, AugmentedOracle, a_agp,
                         agp_upg, certify_progress, find_nc_pair)
-from sloopt.core import CountingOracle, ObjectiveOracle
-from sloopt.problems import NegQuadraticProblem, QuadraticProblem
+from sloopt.core import CountingOracle, EvaluationError, ObjectiveOracle
+from sloopt.problems import NegQuadraticProblem, QuadraticProblem, QuarticProblem
 
 
 class GeneralQuadratic(ObjectiveOracle):
@@ -42,6 +42,22 @@ def test_augmented_oracle_value_and_gradient():
     x = np.array([2.0, 1.0])
     assert f_hat.value(x) == 0.5 * 5 + 0.5 * (1 + 1)
     np.testing.assert_allclose(f_hat.gradient(x), [2 + 1.0, 1 + 1.0])
+
+
+def test_augmented_oracle_over_counting_oracle_is_exact_and_validates():
+    xbar, alpha = np.array([0.3, -0.2, 0.1]), 0.7
+    f_hat = AugmentedOracle(CountingOracle(QuarticProblem(3)), xbar, alpha)
+    rng = np.random.default_rng(5)
+    for x in rng.standard_normal((5, 3)):
+        d = x - xbar
+        assert f_hat.value(x) == QuarticProblem(3).value(x) + alpha * float(np.dot(d, d))
+        expect = QuarticProblem(3).gradient(x) + 2.0 * alpha * d
+        assert f_hat.gradient(x).tobytes() == expect.tobytes()
+    bad = np.array([0.1, np.nan, 0.2])
+    with pytest.raises(EvaluationError):
+        f_hat.value(bad)
+    with pytest.raises(EvaluationError):
+        f_hat.gradient(bad)
 
 
 def test_region_membership_and_projection():

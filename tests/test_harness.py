@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from sloopt import harness
 from sloopt.cli import main, parse_config_file
 from sloopt.core import IterationRecord
 from sloopt.harness import (CSV_HEADER, ExperimentSpec, _write_csv,
@@ -132,15 +133,25 @@ def test_summarize_rejects_bad_schema(tmp_path):
         summarize([str(path)])
 
 
-def test_failed_method_recorded_and_others_proceed(tmp_path):
-    # bpg without its required constants must fail; gd must still run
+def test_failed_method_recorded_and_others_proceed(tmp_path, monkeypatch, capsys):
+    # a method that raises at run time is recorded as failed; gd must still run
+    def fail(spec, oracle, x0):
+        raise RuntimeError("no step")
+
+    monkeypatch.setitem(harness.METHODS, "bpg", fail)
     spec = ExperimentSpec(problem="quartic", methods=("bpg", "gd"), rounds=1,
-                          init_c=1.5, budget_evals=20, gd_step=0.05,
-                          output_dir=str(tmp_path))
+                          init_c=1.5, budget_evals=20, gd_step=0.05, bpg_n=4, bpg_l=1.0,
+                          output_dir=str(tmp_path / "api"))
     summary = run_experiment(spec)
-    assert "bpg/round1" in summary["errors"]
+    assert summary["errors"] == {"bpg/round1": "RuntimeError: no step"}
     assert "gd" in summary["methods"]
-    assert not os.path.exists(tmp_path / "bpg_round01.csv")
+    assert not os.path.exists(tmp_path / "api" / "bpg_round01.csv")
+    monkeypatch.setitem(harness.METHODS, "ls", fail)
+    code = main(["--problem", "quartic", "--method", "ls,pgd", "--budget-evals", "200",
+                 "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert "FAILED ls/round1: RuntimeError: no step" in capsys.readouterr().out
+    assert os.path.exists(tmp_path / "cli" / "pgd_round01.csv")
 
 
 def test_diverged_run_is_reported_not_summarized(tmp_path, capsys):
@@ -249,6 +260,11 @@ def test_cli_bad_flag_value(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+CONFIG_FILES = {"layers.cfg": "net_layers = 6\n", "gd_step.cfg": "gd_step = -1\n",
+                "gd_nan.cfg": "gd_step = nan\n", "bpg_n.cfg": "bpg_n = 1\nbpg_l = 1.0\n",
+                "bpg_l.cfg": "bpg_n = 4\nbpg_l = nan\n"}
+
+
 @pytest.mark.parametrize("args, message", [
     (["--problem", "autoencoder", "--config", "layers.cfg"],
      "ValueError: layer_dims must list at least one layer"),
@@ -257,11 +273,24 @@ def test_cli_bad_flag_value(tmp_path, capsys):
     (["--problem", "quartic", "--epsilon", "-1"], "ValueError: epsilon must be positive"),
     (["--problem", "quartic", "--budget-evals", "0"],
      "ValueError: rounds and budget_evals must be >= 1"),
-], ids=["net-one-width-autoencoder", "net-one-width-supervised", "epsilon", "budget-evals"])
+    (["--problem", "quartic", "--config", "gd_step.cfg"], "ValueError: gd_step must be positive"),
+    (["--problem", "quartic", "--config", "gd_nan.cfg"], "ValueError: gd_step must be positive"),
+    (["--problem", "quartic", "--method", "bpg,gd"],
+     "ValueError: bpg requires bpg_n and bpg_l"),
+    (["--problem", "quartic", "--method", "bpg,gd", "--config", "bpg_n.cfg"],
+     "ValueError: poly_degree_n must be >= 2"),
+    (["--problem", "quartic", "--method", "bpg,gd", "--config", "bpg_l.cfg"],
+     "ValueError: l_relative must be positive"),
+], ids=["net-one-width-autoencoder", "net-one-width-supervised", "epsilon", "budget-evals",
+        "gd-step-negative", "gd-step-nan", "bpg-missing-constants", "bpg-degree-one",
+        "bpg-l-nan"])
 def test_cli_reports_configuration_errors_before_any_run(tmp_path, capsys, args, message):
-    (tmp_path / "layers.cfg").write_text("net_layers = 6\n")
-    args = [str(tmp_path / a) if a == "layers.cfg" else a for a in args]
-    code = main(args + ["--method", "gd,pgd", "--out", str(tmp_path / "out")])
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a) if a in CONFIG_FILES else a for a in args]
+    if "--method" not in args:
+        args += ["--method", "gd,pgd"]
+    code = main(args + ["--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not os.path.exists(tmp_path / "out" / "gd_round01.csv")
+    assert not list((tmp_path / "out").glob("*.csv"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sloopt.core import CountingOracle
+from sloopt.core import CountingOracle, ObjectiveOracle
 from sloopt.lipschitz import EstimationError, estimate_l1, estimate_l2
 from sloopt.problems import (LinearNetProblem, LinearProblem, QuadraticProblem,
                              QuarticProblem, generate_planted_tensor)
@@ -77,21 +77,31 @@ def test_degenerate_radius_rejected():
         estimate_l1(p, np.zeros(2), 0.0)
 
 
-def _reference_estimate(oracle, center, radius, n, seed, order):
-    """The sampled estimate as a plain pairwise loop in which every pair
-    evaluates both of its ends afresh."""
+def _reference_draw(center, radius, n, seed):
+    """The n sample points uniform in B(center, radius), in draw order, and
+    the generator that drew them."""
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((n, center.size))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = radius * rng.uniform(0.0, 1.0, size=n) ** (1.0 / center.size)
-    points = center + directions * radii[:, None]
+    return center + directions * radii[:, None], rng
+
+
+def _reference_direction(rng, center):
+    u = rng.standard_normal(center.size)
+    return u / np.linalg.norm(u)
+
+
+def _reference_estimate(oracle, center, radius, n, seed, order):
+    """The sampled estimate as a plain pairwise loop in which every pair
+    evaluates both of its ends afresh."""
+    points, rng = _reference_draw(center, radius, n, seed)
     if order == 1:
         def probe(p):
             return oracle.gradient(p)
     else:
         h = 1e-4 * radius
-        u = rng.standard_normal(center.size)
-        u /= np.linalg.norm(u)
+        u = _reference_direction(rng, center)
 
         def probe(p):
             return (oracle.gradient(p + h * u) - oracle.gradient(p - h * u)) / (2.0 * h)
@@ -131,3 +141,50 @@ def test_sampled_estimates_evaluate_each_point_once(n):
         counting = CountingOracle(oracle)
         estimate_l2(counting, center, 0.4, n_samples=n, seed=0)
         assert counting.grad_evals == 2 * (n + 1)
+
+
+class _LoggingOracle(ObjectiveOracle):
+    """Passes calls to ``base`` and keeps a copy of every gradient point."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.points = []
+
+    def value(self, x):
+        return self.base.value(x)
+
+    def gradient(self, x):
+        self.points.append(np.array(x))
+        return self.base.gradient(x)
+
+
+def _as_bytes(points):
+    return [p.tobytes() for p in points]
+
+
+@pytest.mark.parametrize("n", [2, 7, 25])
+@pytest.mark.parametrize("case", [0, 1], ids=["tensor", "linear-net"])
+def test_sampled_estimates_probe_center_then_samples_in_draw_order(case, n):
+    oracle, center = _sampled_problems()[case]
+    samples, rng = _reference_draw(center, 0.4, n, (3, 1))
+    logged = _LoggingOracle(oracle)
+    estimate_l1(logged, center, 0.4, n_samples=n, seed=(3, 1))
+    assert _as_bytes(logged.points) == _as_bytes([center, *samples])
+    h, u = 1e-4 * 0.4, _reference_direction(rng, center)
+    logged = _LoggingOracle(oracle)
+    estimate_l2(logged, center, 0.4, n_samples=n, seed=(3, 1))
+    assert _as_bytes(logged.points) == _as_bytes(
+        [q for p in [center, *samples] for q in (p + h * u, p - h * u)])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_radius_below_resolution_raises_after_probing_only_the_center(order):
+    oracle, center = _sampled_problems()[0]
+    logged = _LoggingOracle(oracle)
+    estimate = estimate_l1 if order == 1 else estimate_l2
+    with pytest.raises(EstimationError, match="all sampled pairs degenerate"):
+        estimate(logged, center, 1e-300, n_samples=10, seed=0)
+    # L1 probes the center once; L2 probes it by one central difference
+    assert len(logged.points) == order
+    assert all(np.array_equal(p, center) for p in logged.points)
