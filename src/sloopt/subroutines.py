@@ -14,11 +14,13 @@ class DirectionError(ValueError):
 
 
 class BacktrackBudgetError(RuntimeError):
-    def __init__(self, last_delta, n_backtracks):
+    """A backtracking test (Armijo in a_ls, descent in a_gp) failed at every stepsize."""
+
+    def __init__(self, last_delta, n_backtracks, test="Armijo"):
         self.last_delta = last_delta
         self.n_backtracks = n_backtracks
         super().__init__(
-            f"Armijo condition not met after {n_backtracks} backtracks "
+            f"{test} condition not met after {n_backtracks} backtracks "
             f"(last stepsize {last_delta:g}); oracle likely inconsistent"
         )
 
@@ -29,14 +31,17 @@ class LsParams:
     theta: float = 0.5       # backtrack factor
     delta_bar: float = 1.0   # adaptive step-length cap
     alpha: float = 1.0       # gradient-related constant
-    max_backtracks: int = 200
+    max_backtracks: int = 200  # also a_gp's cap on halvings
 
 
-def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None):
+def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_x=None):
     """Gradient step projected radially onto the ball B(center, r).
 
     Candidates landing exactly on the sphere count as inside; no rescale
-    is performed for them.
+    is performed for them. Given ``f_x = f(x)``, eta is halved until the step
+    x+ certifies ``f_x - f(x+) >= ||x+ - x||^2 / (2 eta)``, one value call per
+    trial, and ``(x+, eta)`` is returned; the descent lemma passes the test
+    once 1/eta bounds the gradient-Lipschitz constant on the segment.
     """
     x = as_vector(x)
     center = as_vector(center)
@@ -45,7 +50,16 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None):
     if norm(x - center) > r * (1 + 1e-12):
         raise ValueError("a_gp requires x inside B(center, r)")
     g = oracle.gradient(x) if grad is None else grad
-    return check_finite(project_ball(x - eta * g, center, r), "a_gp output")
+    if f_x is None:
+        return check_finite(project_ball(x - eta * g, center, r), "a_gp output")
+    cap = LsParams.max_backtracks
+    for _ in range(cap + 1):
+        out = project_ball(x - eta * g, center, r)
+        move = out - x
+        if f_x - oracle.value(out) >= move.dot(move) / (2.0 * eta):
+            return check_finite(out, "a_gp output"), eta
+        eta /= 2.0
+    raise BacktrackBudgetError(eta, cap, "descent")
 
 
 def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):

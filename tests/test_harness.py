@@ -8,7 +8,7 @@ import pytest
 
 from sloopt import harness
 from sloopt.cli import main, parse_config_file
-from sloopt.core import IterationRecord
+from sloopt.core import IterationRecord, ObjectiveOracle
 from sloopt.harness import (CSV_HEADER, ExperimentSpec, _write_csv,
                             build_problem, run_experiment, summarize)
 
@@ -154,6 +154,29 @@ def test_failed_method_recorded_and_others_proceed(tmp_path, monkeypatch, capsys
     assert os.path.exists(tmp_path / "cli" / "pgd_round01.csv")
 
 
+def test_gp_descent_test_that_never_passes_is_a_failed_run(tmp_path, monkeypatch):
+    class Rising(ObjectiveOracle):
+        """Gradient of ||x||^2 / 2, but each value is above every earlier one."""
+        dim, calls = 3, 0
+
+        def value(self, x):
+            self.calls += 1
+            return float(self.calls)
+
+        def gradient(self, x):
+            return np.array(x, dtype=float)
+
+    oracle = Rising()
+    monkeypatch.setattr(harness, "build_problem", lambda spec: (oracle, None))
+    summary = run_experiment(ExperimentSpec(methods=("pgd", "ls"), output_dir=str(tmp_path)))
+    # each run gives up after its 201st trial point, and the experiment goes on
+    errors = {run: msg.partition(" (")[0] for run, msg in summary["errors"].items()}
+    assert errors == {f"{m}/round1": f"BacktrackBudgetError: {test} condition not met after 200"
+                      f" backtracks" for m, test in (("pgd", "descent"), ("ls", "Armijo"))}
+    assert oracle.calls == 2 * (1 + 201)
+    assert "FAILED pgd/round1: BacktrackBudgetError" in (tmp_path / "summary.txt").read_text()
+
+
 def test_diverged_run_is_reported_not_summarized(tmp_path, capsys):
     # gd with the default step blows up on the default supervised instance
     spec = ExperimentSpec(problem="supervised", methods=("gd", "pgd"),
@@ -227,8 +250,8 @@ def test_cli_end_to_end(tmp_path, capsys):
 
 
 def test_cli_budget_is_a_hard_cap(tmp_path, monkeypatch, capsys):
-    # pgd on the default supervised net: at 5000 the budget falls inside an
-    # L1 estimate; a budget checked only between steps would end at 5100
+    # ngd on the default supervised net: at 5000 the budget falls inside an
+    # L1 estimate; a budget checked only between steps would end at 5003
     from sloopt import problems, slo
     from sloopt.core import Termination
 
@@ -237,11 +260,11 @@ def test_cli_budget_is_a_hard_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(problems.LinearNetProblem, "gradient",
                         lambda self, w: calls.append(1) or gradient(self, w))
     monkeypatch.setattr(slo, "run_slo", lambda *a: results.append(run_slo(*a)) or results[-1])
-    code = main(["--problem", "supervised", "--method", "pgd", "--budget-evals", "5000",
+    code = main(["--problem", "supervised", "--method", "ngd", "--budget-evals", "5000",
                  "--out", str(tmp_path)])
     assert code == 0
     assert [r.termination for r in results] == [Termination.EvalBudget]
-    last = read_rows(tmp_path / "pgd_round01.csv")[-1]
+    last = read_rows(tmp_path / "ngd_round01.csv")[-1]
     assert int(last[CSV_HEADER.index("grad_evals")]) <= len(calls) == 5000
     # the trace misses the interrupted estimate's evaluations; the result does not
     assert results[0].grad_evals == len(calls) == 5000

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sloopt.core import SloConfig, Subroutine, Termination
-from sloopt.problems import QuarticProblem, generate_planted_tensor
+from sloopt.problems import (LinearNetProblem, QuarticProblem, generate_planted_labels,
+                             generate_planted_tensor, uniform_init)
 from sloopt.slo import ContractViolation, check_epoch_descent, run_slo
 from sloopt.subroutines import LsParams
 
@@ -245,6 +248,8 @@ def test_contract_violation_is_a_hard_error(monkeypatch):
                          ids=["GP", "AGP"])
 def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch, config,
                                                                     ball_over_D):
+    # AGP samples L1 and L2 every epoch; GP samples nothing, since each of its
+    # steps certifies its own constant (test_gp_certifies_each_step_...)
     import sloopt.slo as slo_mod
 
     events = []
@@ -258,26 +263,93 @@ def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch,
 
     for name in ("estimate_l1", "estimate_l2"):
         monkeypatch.setattr(slo_mod, name, logged(name, getattr(slo_mod, name)))
-    a_gp = slo_mod.a_gp
-    monkeypatch.setattr(slo_mod, "a_gp", lambda oracle, x, center, eta, r, grad=None:
-                        events.append(("a_gp", eta)) or a_gp(oracle, x, center, eta, r, grad))
     prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)
     res = run_slo(prob, np.full(prob.dim, 0.3), config)
     assert res.termination is Termination.EpochBudget
-    names = ["estimate_l1"] + (["estimate_l2"] if config.subroutine is Subroutine.AGP else [])
-    estimates = [e for e in events if e[0] != "a_gp"]
-    assert [e[0] for e in estimates] == names * 3
-    for i, (_, radius, n_samples, seed, est) in enumerate(estimates):
+    names = ["estimate_l1", "estimate_l2"] if config.subroutine is Subroutine.AGP else []
+    assert [e[0] for e in events] == names * 3
+    for i, (_, radius, n_samples, seed, est) in enumerate(events):
         assert (radius, n_samples, seed) == (ball_over_D * config.radius_D, 50,
                                              (5, i // len(names) + 1))
         assert est.method == "sampled"
-    l1_est = None
-    for e in events:
-        if e[0] == "estimate_l1":
-            l1_est = e[4]
-        elif e[0] == "a_gp":
-            assert e[1] == 1 / (1.5 * l1_est.value)
-    assert (config.subroutine is Subroutine.GP) == any(e[0] == "a_gp" for e in events)
+
+
+def _log_a_gp(monkeypatch):
+    """Log each a_gp call as (center, x, eta, f_x, returned value)."""
+    import sloopt.slo as slo_mod
+
+    calls, a_gp = [], slo_mod.a_gp
+
+    def logged(oracle, x, center, eta, r, grad=None, f_x=None):
+        out = a_gp(oracle, x, center, eta, r, grad=grad, f_x=f_x)
+        calls.append((center, x, eta, f_x, out))
+        return out
+
+    monkeypatch.setattr(slo_mod, "a_gp", logged)
+    return calls
+
+
+def test_gp_certifies_each_step_and_halves_the_carried_constant_per_epoch(monkeypatch):
+    calls = _log_a_gp(monkeypatch)
+    prob, _ = generate_planted_tensor(4, 3, 3, 0.5, 1.5, 1)
+    res = run_slo(prob, uniform_init(prob.dim, 0.5, 11),
+                  gp_config(radius_D=0.5, seed=5, max_epochs=5))
+    assert res.termination is Termination.EpochBudget and res.grad_evals == len(res.trace)
+    l_prev, first_etas = 1.0, []
+    for i, (center, x, eta, f_x, (_, eta_out)) in enumerate(calls):
+        if i == 0 or center is not calls[i - 1][0]:
+            first_etas.append(eta)
+            assert eta == 1.0 / max(1.0, l_prev / 2)
+        else:
+            assert eta == 1.0 / l_prev
+        assert f_x == prob.value(x) and eta_out <= eta
+        l_prev = 1.0 / eta_out
+    # epoch 3 certifies L = 8 in 28 steps; epochs 4 and 5 start from 4 and 2
+    assert first_etas == [1.0, 1.0, 1.0, 0.25, 0.5]
+
+
+def test_gp_with_analytic_growth_steps_at_one_over_l1_without_a_test(monkeypatch):
+    calls = _log_a_gp(monkeypatch)
+    prob = QuarticProblem(2)
+    values = _log_calls(prob, "value")
+    res = run_slo(prob, np.array([1.0, -0.5]), gp_config(max_epochs=3))
+    assert calls and len(values) == len(res.trace)
+    for center, _, eta, f_x, out in calls:
+        assert f_x is None and isinstance(out, np.ndarray)
+        assert eta == 1.0 / max(1.0, prob.growth1(np.linalg.norm(center) + 0.1))
+
+
+@st.composite
+def planted_instances(draw):
+    """A small planted tensor or linear net without analytic growth, and a start."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 4))
+        prob, _ = generate_planted_tensor(d, 3, draw(st.integers(1, d)), 0.5, 1.5, seed)
+    else:
+        n, h = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+        data = np.random.default_rng(seed).standard_normal((n, 8))
+        shapes = [(h, n), (n, h)]
+        labels = generate_planted_labels(shapes, data, seed)[0] if draw(st.booleans()) else None
+        prob = LinearNetProblem(data, shapes, "supervised" if labels is not None
+                                else "autoencoder", labels)
+    return prob, uniform_init(prob.dim, draw(st.sampled_from([0.3, 1.0])), seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted_instances(), st.sampled_from([0.05, 0.2, 0.5]))
+def test_every_certified_gp_step_descends_inside_the_epoch_ball(instance, radius):
+    prob, x0 = instance
+    cfg = gp_config(epsilon=1e-4, radius_D=radius, max_total_grad_evals=2000)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _log_a_gp(mp)
+        res = run_slo(prob, x0, cfg)
+    assert res.grad_evals == len(res.trace)
+    for center, x, _, _, (x_next, eta) in calls:
+        move = x_next - x
+        assert prob.value(x) - prob.value(x_next) >= move.dot(move) / (2 * eta)
+        assert np.linalg.norm(x_next - center) <= radius + 1e-12 * max(1.0, radius)
+    assert min(check_epoch_descent(res, cfg), default=0.0) >= -1e-10
 
 
 def test_ls_hands_a_ls_the_fixed_armijo_constants(monkeypatch):

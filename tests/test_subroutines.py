@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sloopt.core import CountingOracle
-from sloopt.problems import QuadraticProblem, QuarticProblem
+from sloopt.problems import LinearProblem, QuadraticProblem, QuarticProblem
 from sloopt.subroutines import (BacktrackBudgetError, DirectionError,
                                 LsParams, a_gp, a_ls, a_ng)
 
@@ -31,6 +31,22 @@ def test_gp_rejects_start_outside_ball():
     p = quad(1)
     with pytest.raises(ValueError):
         a_gp(p, np.array([3.0]), np.zeros(1), eta=0.1, r=1.0)
+
+
+def test_gp_with_f_x_halves_eta_until_the_step_certifies_descent():
+    # f = x^2/2 (L = 1) from x = 1: eta = 4 is projected to x+ = -2, eta = 2
+    # lands on x+ = -1 with no descent, and eta = 1 reaches 0, certified with equality
+    p = quad(1)
+    out, eta = a_gp(p, np.array([1.0]), np.zeros(1), eta=4.0, r=2.0, f_x=0.5)
+    assert (out.tolist(), eta, p.value_evals) == ([0.0], 1.0, 3)
+
+
+def test_gp_descent_test_gives_up_after_200_halvings():
+    # f = x and f_x = f(0) - 1: with ||grad|| r < 1 no step in the ball makes up for it
+    p = CountingOracle(LinearProblem([1.0]))
+    with pytest.raises(BacktrackBudgetError, match="descent condition") as exc:
+        a_gp(p, np.zeros(1), np.zeros(1), eta=1.0, r=0.5, f_x=-1.0)
+    assert exc.value.n_backtracks == 200 and p.value_evals == 201
 
 
 def test_ng_gd_branch_when_gradient_small():
