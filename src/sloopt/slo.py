@@ -41,8 +41,8 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     sub, D, d = config.subroutine, config.radius_D, config.margin_d
     slack = 1e-12 * max(1.0, D)
     ls_params = LsParams(delta_bar=config.ls_delta_bar)
-    # GP without analytic growth certifies each step's L1 by a descent test; the
-    # run keeps one, halved (floored at 1) when an epoch starts.
+    # GP without analytic growth certifies each step's L1 by a descent test (an analytic
+    # L1 always passes it); the run keeps one, halved (floored at 1) when an epoch starts.
     certify = sub is Subroutine.GP and oracle.growth1 is None
     l_gp = 1.0
 

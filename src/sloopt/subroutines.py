@@ -8,13 +8,15 @@ import numpy as np
 
 from .core import ObjectiveOracle, as_vector, check_finite, norm, project_ball
 
+MAX_BACKTRACKS = 200  # default cap on a_ls's backtracks; a_gp's fixed cap on halvings
+
 
 class DirectionError(ValueError):
     """Search direction violates the gradient-related condition."""
 
 
 class BacktrackBudgetError(RuntimeError):
-    """A backtracking test (Armijo in a_ls, descent in a_gp) failed at every stepsize."""
+    """A backtracking test (Armijo in a_ls, descent in a_gp) failed down to last_delta."""
 
     def __init__(self, last_delta, n_backtracks, test="Armijo"):
         self.last_delta = last_delta
@@ -31,7 +33,7 @@ class LsParams:
     theta: float = 0.5       # backtrack factor
     delta_bar: float = 1.0   # adaptive step-length cap
     alpha: float = 1.0       # gradient-related constant
-    max_backtracks: int = 200  # also a_gp's cap on halvings
+    max_backtracks: int = MAX_BACKTRACKS
 
 
 def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_x=None):
@@ -52,14 +54,13 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_
     g = oracle.gradient(x) if grad is None else grad
     if f_x is None:
         return check_finite(project_ball(x - eta * g, center, r), "a_gp output")
-    cap = LsParams.max_backtracks
-    for _ in range(cap + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         out = project_ball(x - eta * g, center, r)
         move = out - x
         if f_x - oracle.value(out) >= move.dot(move) / (2.0 * eta):
             return check_finite(out, "a_gp output"), eta
         eta /= 2.0
-    raise BacktrackBudgetError(eta, cap, "descent")
+    raise BacktrackBudgetError(2.0 * eta, MAX_BACKTRACKS, "descent")  # the last eta tried
 
 
 def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):
@@ -98,9 +99,8 @@ def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x
             f"<grad, d> = {slope:g} exceeds -alpha*||grad||*||d|| = {bound:g}"
         )
     fx = oracle.value(x) if f_x is None else f_x
-    delta = params.delta_bar / dnorm
     for j in range(params.max_backtracks + 1):
+        delta = params.delta_bar / dnorm if j == 0 else delta * params.theta
         if oracle.value(x + delta * d) <= fx + params.sigma * delta * slope:
             return check_finite(x + delta * d, "a_ls output"), delta, j
-        delta *= params.theta
     raise BacktrackBudgetError(delta, params.max_backtracks)

@@ -243,13 +243,16 @@ def test_contract_violation_is_a_hard_error(monkeypatch):
         run_slo(QuarticProblem(1), np.array([1.0]), gp_config())
 
 
-@pytest.mark.parametrize("config, ball_over_D", [(gp_config(seed=5, max_epochs=3), 1),
-                                                 (agp_config(seed=5, max_epochs=3), 3)],
-                         ids=["GP", "AGP"])
+@pytest.mark.parametrize("config, ball_over_D", [
+    (gp_config(seed=5, max_epochs=3), 1),
+    (SloConfig(epsilon=EPS, radius_D=0.1, margin_d=0.04, subroutine=Subroutine.NGD,
+               seed=5, max_epochs=3), 1),
+    (agp_config(seed=5, max_epochs=3), 3)], ids=["GP", "NGD", "AGP"])
 def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch, config,
                                                                     ball_over_D):
-    # AGP samples L1 and L2 every epoch; GP samples nothing, since each of its
-    # steps certifies its own constant (test_gp_certifies_each_step_...)
+    # NGD samples L1, and AGP L1 and L2, every epoch and steps with 1.5 x each sample;
+    # GP samples nothing, since each of its steps certifies its own constant
+    # (test_gp_certifies_each_step_...)
     import sloopt.slo as slo_mod
 
     events = []
@@ -261,17 +264,32 @@ def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch,
             return est
         return run
 
+    def stepped(fn, takes_l2):
+        def run(oracle, x, l1, *args, **kwargs):
+            steps.append((l1, args[0] if takes_l2 else None, events[-2:]))
+            return fn(oracle, x, l1, *args, **kwargs)
+        return run
+
+    steps = []
     for name in ("estimate_l1", "estimate_l2"):
         monkeypatch.setattr(slo_mod, name, logged(name, getattr(slo_mod, name)))
+    monkeypatch.setattr(slo_mod, "a_ng", stepped(slo_mod.a_ng, False))
+    monkeypatch.setattr(slo_mod, "a_agp", stepped(slo_mod.a_agp, True))
     prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)
     res = run_slo(prob, np.full(prob.dim, 0.3), config)
     assert res.termination is Termination.EpochBudget
-    names = ["estimate_l1", "estimate_l2"] if config.subroutine is Subroutine.AGP else []
+    names = {Subroutine.GP: [], Subroutine.NGD: ["estimate_l1"],
+             Subroutine.AGP: ["estimate_l1", "estimate_l2"]}[config.subroutine]
     assert [e[0] for e in events] == names * 3
     for i, (_, radius, n_samples, seed, est) in enumerate(events):
         assert (radius, n_samples, seed) == (ball_over_D * config.radius_D, 50,
                                              (5, i // len(names) + 1))
         assert est.method == "sampled"
+    assert bool(steps) == (config.subroutine is not Subroutine.GP)
+    for l1, l2, recent in steps:
+        est = {e[0]: e[4].value for e in recent}
+        assert l1 == 1.5 * est["estimate_l1"]
+        assert l2 == (1.5 * est["estimate_l2"] if "estimate_l2" in names else None)
 
 
 def _log_a_gp(monkeypatch):

@@ -47,6 +47,7 @@ def test_gp_descent_test_gives_up_after_200_halvings():
     with pytest.raises(BacktrackBudgetError, match="descent condition") as exc:
         a_gp(p, np.zeros(1), np.zeros(1), eta=1.0, r=0.5, f_x=-1.0)
     assert exc.value.n_backtracks == 200 and p.value_evals == 201
+    assert exc.value.last_delta == 2.0**-200  # the last stepsize tried
 
 
 def test_ng_gd_branch_when_gradient_small():
@@ -135,7 +136,7 @@ def test_ls_backtrack_budget_error():
     with pytest.raises(BacktrackBudgetError) as exc:
         a_ls(CountingOracle(Stubborn(1)), np.array([1.0]), np.array([1.0]),
              params)
-    assert exc.value.n_backtracks == 10
+    assert exc.value.n_backtracks == 10 and exc.value.last_delta == 2.0**-10
 
 
 def test_ls_zero_direction_rejected():
