@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ObjectiveOracle, as_vector, check_finite, norm, project_ball
+from .subroutines import MAX_BACKTRACKS, BacktrackBudgetError
 
 _BOUNDARY_TOL = 1e-12
 
@@ -102,21 +103,21 @@ def find_nc_pair(f_hat, x_hist, y_hist, w, alpha):
 
 
 def certify_progress(f_hat, region: AgpRegion, y0, yt, l1_hat, alpha, kappa, t,
-                     grad_yt=None, f_y0=None, psi=None):
+                     grad_yt=None, f_y0=None, psi=None, f_yt=None):
     """Witness that the accelerated iterates are not making certified progress.
 
     Returns a witness point or None. The three branches, in order: objective
     increase (witness y0), a gradient step exiting the interior (witness its
     projection), or a gradient norm too large for t accelerated iterations
     (witness the gradient step itself). A caller that already has the
-    gradient at yt, f_hat at y0 or the psi of that gradient step passes it in.
+    gradient at yt, f_hat at y0 or yt, or the psi of that gradient step passes it in.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     y0 = as_vector(y0)
     yt = as_vector(yt)
     f_y0 = f_hat.value(y0) if f_y0 is None else f_y0
-    if f_hat.value(yt) > f_y0:
+    if (f_hat.value(yt) if f_yt is None else f_yt) > f_y0:
         return np.array(y0)
     g = f_hat.gradient(yt) if grad_yt is None else grad_yt
     z = yt - g / l1_hat
@@ -178,6 +179,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
         yt = y_hist[t]
         x_hist.append(yt + omega * (yt - y_hist[t - 1]))
         gy = f_hat.gradient(yt)
+        f_yt = f_hat.value(yt)  # next to the gradient, so the base oracle's memo serves it
         z = yt - gy / l1_hat
         psi = None
         if region.is_interior(z):
@@ -186,7 +188,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
             if t == 1:
                 cap = max(10_000, int(10 * bound_at_exit) + 1)
         w = certify_progress(f_hat, region, y0, yt, l1_hat, alpha, kappa, t,
-                             grad_yt=gy, f_y0=f_y0, psi=psi)
+                             grad_yt=gy, f_y0=f_y0, psi=psi, f_yt=f_yt)
         if w is not None:
             if region.on_boundary(w):
                 return UpgOutcome(3, point_p=w, iters_t=t, iter_bound=bound_at_exit)
@@ -208,11 +210,16 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
                       iters_t=t, iter_bound=bound_at_exit)
 
 
-def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon):
+def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon, f_x=None):
     """One accelerated epoch step: regularize at xbar, run the inner loop,
     and convert NC pairs into descent via the curvature-exploiting probes.
 
-    The output always stays within radius_D of the epoch anchor.
+    The output always stays within radius_D of the epoch anchor. Given
+    ``f_x = f(xbar)``, the step is redone from xbar until it is certified,
+    and ``(out, outcome, l1, l2)`` is returned: l1 is doubled when the inner
+    loop raises AgpError or a flag-1/3/5 point has ``f(out) > f_x``, l2 when
+    a flag-2/4 point misses ``f_x - alpha^3 / (64 l2^2)``, and
+    BacktrackBudgetError follows MAX_BACKTRACKS doublings.
     """
     xbar = as_vector(xbar)
     epoch_anchor = as_vector(epoch_anchor)
@@ -224,21 +231,35 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
         raise ValueError("xbar must lie strictly inside the inner region")
     if l1 < 1 or l2 < 1:
         raise ValueError("Lipschitz constants are floored at 1")
-    alpha = 2.0 * math.sqrt(l2) * quarter
-    f_hat = AugmentedOracle(oracle, xbar, alpha)
     region = AgpRegion(epoch_anchor, inner_radius)
-    outcome = agp_upg(f_hat, region, xbar, epsilon / 100.0, l1 + 2.0 * alpha, alpha)
-    if outcome.flag in (1, 3, 5):
-        return outcome.point_p, outcome
-    u, v = outcome.nc_u, outcome.nc_v
-    sep = u - v
-    sep_norm = norm(sep)
-    if sep_norm < 1e-15:
-        raise AgpError("degenerate NC pair (u == v); oracle inconsistency")
-    candidates_1 = outcome.y_history[1:outcome.iters_t] + [u]
-    b1 = min(candidates_1, key=oracle.value)
-    step = (alpha / (l2 * sep_norm)) * sep
-    b2 = min((u + step, u - step), key=oracle.value)
-    threshold = oracle.value(xbar) - alpha ** 3 / (64.0 * l2 * l2)
-    out = b1 if oracle.value(b1) <= threshold else b2
-    return check_finite(np.array(out), "a_agp output"), outcome
+    for _ in range(MAX_BACKTRACKS + 1):
+        tried = (l1, l2)
+        alpha = 2.0 * math.sqrt(l2) * quarter
+        f_hat = AugmentedOracle(oracle, xbar, alpha)
+        try:
+            outcome = agp_upg(f_hat, region, xbar, epsilon / 100.0, l1 + 2.0 * alpha, alpha)
+        except AgpError:  # no NC pair, or the iteration cap: l1 is too small
+            if f_x is None:
+                raise
+            l1 *= 2.0
+            continue
+        if outcome.flag in (1, 3, 5):
+            out, bound = outcome.point_p, f_x
+        else:
+            u, v = outcome.nc_u, outcome.nc_v
+            sep = u - v
+            sep_norm = norm(sep)
+            if sep_norm < 1e-15:
+                raise AgpError("degenerate NC pair (u == v); oracle inconsistency")
+            candidates_1 = outcome.y_history[1:outcome.iters_t] + [u]
+            b1 = min(candidates_1, key=oracle.value)
+            step = (alpha / (l2 * sep_norm)) * sep
+            b2 = min((u + step, u - step), key=oracle.value)
+            bound = (oracle.value(xbar) if f_x is None else f_x) - alpha ** 3 / (64.0 * l2 * l2)
+            out = check_finite(np.array(b1 if oracle.value(b1) <= bound else b2), "a_agp output")
+        if f_x is None:
+            return out, outcome
+        if oracle.value(out) <= bound:
+            return out, outcome, l1, l2
+        l1, l2 = (2.0 * l1, l2) if outcome.flag in (1, 3, 5) else (l1, 2.0 * l2)
+    raise BacktrackBudgetError(tried, MAX_BACKTRACKS, "AGP certificate")

@@ -9,8 +9,8 @@ from .core import ObjectiveOracle, RunResult, SloConfig, Subroutine, drive, norm
 from .lipschitz import estimate_l1, estimate_l2
 from .subroutines import LsParams, a_gp, a_ls, a_ng
 
-# Each sampled estimate (NGD, AGP) draws this many points, and the epoch uses the
-# sampled value times this factor, since a sample maximum is only a lower bound.
+# Each sampled estimate (NGD without growth1) draws this many points, and the epoch uses
+# the sampled value times this factor, since a sample maximum is only a lower bound.
 LIPSCHITZ_SAMPLES = 50
 LIPSCHITZ_SAFETY = 1.5
 
@@ -21,7 +21,8 @@ class ContractViolation(RuntimeError):
 
 def _epoch_constants(oracle, anchor, config: SloConfig, tau: int):
     """(L1, L2) for the epoch, with the sampled-estimate safety factor applied.
-    LS uses neither; L2 is None for GP and NGD. Not called for a certified GP run."""
+    LS uses neither; L2 is None for GP and NGD. Not called for a certified GP or AGP
+    run, so only NGD samples."""
     sub = config.subroutine
     if sub is Subroutine.LS:
         return 1.0, 1.0
@@ -41,21 +42,26 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     sub, D, d = config.subroutine, config.radius_D, config.margin_d
     slack = 1e-12 * max(1.0, D)
     ls_params = LsParams(delta_bar=config.ls_delta_bar)
-    # GP without analytic growth certifies each step's L1 by a descent test (an analytic
-    # L1 always passes it); the run keeps one, halved (floored at 1) when an epoch starts.
-    certify = sub is Subroutine.GP and oracle.growth1 is None
-    l_gp = 1.0
+    # Without analytic growth, GP certifies each step's L1 by a descent test, and AGP its
+    # (L1, L2) by the inner loop's certificates; with it, both step untested. The run
+    # keeps one pair, halved (floored at 1) when an epoch starts; GP reads only L1.
+    certify = (sub is Subroutine.GP and oracle.growth1 is None) or (
+        sub is Subroutine.AGP and None in (oracle.growth1, oracle.growth2))
+    carried = [1.0, 1.0]
 
     def start_epoch(counting, anchor, tau):
-        nonlocal l_gp
-        l_gp = max(1.0, l_gp / 2.0)
+        nonlocal carried
+        if certify:
+            carried = [max(1.0, c / 2.0) for c in carried]
         l1, l2 = (None, None) if certify else _epoch_constants(counting, anchor, config, tau)
 
         def step(x, g, f):
-            nonlocal l_gp
-            if certify:
-                x_next, eta = a_gp(counting, x, anchor, 1.0 / l_gp, D, grad=g, f_x=f)
-                l_gp = 1.0 / eta
+            nonlocal carried
+            if certify and sub is Subroutine.GP:
+                x_next, eta = a_gp(counting, x, anchor, 1.0 / carried[0], D, grad=g, f_x=f)
+                carried[0] = 1.0 / eta
+            elif certify:
+                x_next, _, *carried = a_agp(counting, x, *carried, anchor, D, config.epsilon, f_x=f)
             elif sub is Subroutine.GP:
                 x_next = a_gp(counting, x, anchor, 1.0 / l1, D, grad=g)
             elif sub is Subroutine.NGD:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import ObjectiveOracle, as_vector, check_finite, norm, project_ball
 
-MAX_BACKTRACKS = 200  # default cap on a_ls's backtracks; a_gp's fixed cap on halvings
+MAX_BACKTRACKS = 200  # default cap on a_ls's backtracks; the fixed cap of a_gp and a_agp
 
 
 class DirectionError(ValueError):
@@ -16,14 +16,17 @@ class DirectionError(ValueError):
 
 
 class BacktrackBudgetError(RuntimeError):
-    """A backtracking test (Armijo in a_ls, descent in a_gp) failed down to last_delta."""
+    """A backtracking test (Armijo in a_ls, descent in a_gp, the certificates in a_agp)
+    failed down to last_delta: the last stepsize tried, or a_agp's last (L1, L2)."""
 
     def __init__(self, last_delta, n_backtracks, test="Armijo"):
         self.last_delta = last_delta
         self.n_backtracks = n_backtracks
+        last = ("(L1, L2) = ({:g}, {:g})".format(*last_delta) if isinstance(last_delta, tuple)
+                else f"stepsize {last_delta:g}")
         super().__init__(
             f"{test} condition not met after {n_backtracks} backtracks "
-            f"(last stepsize {last_delta:g}); oracle likely inconsistent"
+            f"(last {last}); oracle likely inconsistent"
         )
 
 

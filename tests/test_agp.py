@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import sloopt.slo as slo_mod
+from sloopt import harness
 from sloopt.agp import (AgpError, AgpRegion, AugmentedOracle, a_agp,
                         agp_upg, certify_progress, find_nc_pair)
-from sloopt.core import CountingOracle, EvaluationError, ObjectiveOracle
-from sloopt.problems import NegQuadraticProblem, QuadraticProblem, QuarticProblem
+from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloConfig,
+                         Subroutine, Termination)
+from sloopt.problems import (NegQuadraticProblem, QuadraticProblem, QuarticProblem,
+                             uniform_init)
+from sloopt.subroutines import MAX_BACKTRACKS, BacktrackBudgetError
 
 
 class GeneralQuadratic(ObjectiveOracle):
@@ -250,3 +255,89 @@ def test_a_agp_nc_exploitation_descends_below_threshold():
         assert oracle.base.value(pt) <= oracle.base.value(xbar) + 1e-15
     else:
         assert out.flag in (1, 3, 5)
+
+
+class Poly1D(ObjectiveOracle):
+    """f(x) = sum_i coef[i] x^i in one dimension."""
+
+    dim = 1
+
+    def __init__(self, coef):
+        self.p = np.polynomial.Polynomial(coef)
+        self.dp = self.p.deriv()
+
+    def value(self, x):
+        return float(self.p(x[0]))
+
+    def gradient(self, x):
+        return np.array([self.dp(x[0])])
+
+
+def assert_certified(oracle, xbar, anchor, radius, eps, l1, l2, step):
+    """A certified a_agp step from (l1, l2): constants that did not shrink, an
+    output in the ball, and the certificate of its flag met at the returned constants."""
+    out, outcome, l1_out, l2_out = step
+    assert l1_out >= l1 and l2_out >= l2
+    assert np.linalg.norm(out - anchor) <= radius + 1e-12
+    f_x = oracle.value(xbar)
+    if outcome.flag in (1, 3, 5):
+        assert oracle.value(out) <= f_x
+    else:
+        alpha = 2.0 * math.sqrt(l2_out) * eps ** 0.25
+        assert oracle.value(out) <= f_x - alpha ** 3 / (64.0 * l2_out ** 2)
+    return l1_out, l2_out
+
+
+def test_agp_certification_doubles_both_constants_until_the_nc_step_descends():
+    # negative curvature at 0 next to a steep quartic wall: the inner loop needs
+    # L1 = 4, and the curvature probe of length alpha / L2 overshoots into the
+    # wall until L2 = 64
+    eps, prob, xbar = 1e-6, Poly1D([0.0, -0.4, -0.5, 25.0, 150.0]), np.zeros(1)
+    radius = 6 * eps ** 0.25
+    step = a_agp(CountingOracle(prob), xbar, 1.0, 1.0, xbar, radius, eps, f_x=prob.value(xbar))
+    assert step[1].flag in (2, 4)
+    assert assert_certified(prob, xbar, xbar, radius, eps, 1.0, 1.0, step) == (4.0, 64.0)
+
+
+def test_agp_certification_on_the_autoencoder_from_its_round_one_start(monkeypatch):
+    # the 6-4-4-6 linear autoencoder of the net-ae benchmark workload, round 1: every
+    # step certifies the carried constants, some only after doubling L1 from 1
+    spec = harness.ExperimentSpec(problem="autoencoder", seed=7, init_c=0.1)
+    prob, _ = harness.build_problem(spec)
+    eps, radius = 1e-6, 6 * 1e-6 ** 0.25
+    steps, a_agp_run = [], slo_mod.a_agp
+
+    def logged(oracle, xbar, l1, l2, anchor, radius_D, epsilon, f_x=None):
+        step = a_agp_run(oracle, xbar, l1, l2, anchor, radius_D, epsilon, f_x=f_x)
+        assert f_x == prob.value(xbar)
+        steps.append((l1, assert_certified(prob, xbar, anchor, radius_D, epsilon, l1, l2, step)))
+        return step
+
+    monkeypatch.setattr(slo_mod, "a_agp", logged)
+    res = slo_mod.run_slo(prob, uniform_init(prob.dim, 0.1, 8), SloConfig(
+        epsilon=eps, radius_D=radius, margin_d=2 * eps ** 0.25, subroutine=Subroutine.AGP,
+        max_total_grad_evals=10_000))
+    assert res.termination is Termination.GradientTolerance
+    assert any(l1 == 1.0 and out[0] > 1.0 for l1, out in steps)
+
+
+class RisingValue(ObjectiveOracle):
+    """A value that never decreases (it is constant) under a nonzero gradient."""
+
+    dim = 2
+
+    def value(self, x):
+        return 0.0
+
+    def gradient(self, x):
+        return np.ones(2)
+
+
+def test_agp_certification_gives_up_after_max_backtracks_doublings():
+    eps, xbar = 1e-6, np.full(2, 0.01)
+    with pytest.raises(BacktrackBudgetError) as err:
+        a_agp(CountingOracle(RisingValue()), xbar, 1.0, 1.0, np.zeros(2), 6 * eps ** 0.25,
+              eps, f_x=0.0)
+    # no step descends, so every inner loop ends without an NC pair and L1 doubles
+    assert err.value.last_delta == (2.0 ** MAX_BACKTRACKS, 1.0)
+    assert err.value.n_backtracks == MAX_BACKTRACKS and "AGP certificate" in str(err.value)

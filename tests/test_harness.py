@@ -270,6 +270,14 @@ def test_cli_budget_is_a_hard_cap(tmp_path, monkeypatch, capsys):
     assert results[0].grad_evals == len(calls) == 5000
 
 
+def test_cli_agp_on_the_default_supervised_net_exits_zero(tmp_path, capsys):
+    # a too-small starting L1 on this net must be doubled, not end the run with AgpError
+    code = main(["--problem", "supervised", "--method", "agp", "--seed", "0",
+                 "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAILED" not in out and "agp" in out
+
+
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = main(["--problem", "quartic", "--method", "bpg", "--rounds", "1",
                  "--out", str(tmp_path)])

@@ -196,9 +196,9 @@ def test_eval_budget_is_a_hard_cap_inside_the_agp_inner_loop(monkeypatch):
     raised = []
     a_agp = slo_mod.a_agp
 
-    def logged(*args):
+    def logged(*args, **kwargs):
         try:
-            return a_agp(*args)
+            return a_agp(*args, **kwargs)
         except Exception as exc:
             raised.append(type(exc).__name__)
             raise
@@ -206,11 +206,11 @@ def test_eval_budget_is_a_hard_cap_inside_the_agp_inner_loop(monkeypatch):
     monkeypatch.setattr(slo_mod, "a_agp", logged)
     prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)
     grads = _log_calls(prob, "gradient")
-    # unbounded, the fourth a_agp call spends the 629th to 682nd evaluations
-    res = run_slo(prob, np.full(prob.dim, 0.3), agp_config(max_total_grad_evals=650))
+    # unbounded, the fifth a_agp call spends the 8th to 28th evaluations
+    res = run_slo(prob, np.full(prob.dim, 0.3), agp_config(max_total_grad_evals=20))
     assert raised == ["_BudgetSpent"]
     assert res.termination is Termination.EvalBudget
-    assert len(grads) == 650 and res.trace[-1].cum_grad_evals < 629
+    assert len(grads) == 20 and res.trace[-1].cum_grad_evals < 8
     last = res.trace[-1]
     assert (res.final_grad_norm, prob.value(res.final_point)) == (last.grad_norm, last.f_value)
     assert res.epochs_completed == last.epoch - 1 and res.epochs_completed > 0
@@ -243,16 +243,15 @@ def test_contract_violation_is_a_hard_error(monkeypatch):
         run_slo(QuarticProblem(1), np.array([1.0]), gp_config())
 
 
-@pytest.mark.parametrize("config, ball_over_D", [
-    (gp_config(seed=5, max_epochs=3), 1),
-    (SloConfig(epsilon=EPS, radius_D=0.1, margin_d=0.04, subroutine=Subroutine.NGD,
-               seed=5, max_epochs=3), 1),
-    (agp_config(seed=5, max_epochs=3), 3)], ids=["GP", "NGD", "AGP"])
-def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch, config,
-                                                                    ball_over_D):
-    # NGD samples L1, and AGP L1 and L2, every epoch and steps with 1.5 x each sample;
-    # GP samples nothing, since each of its steps certifies its own constant
-    # (test_gp_certifies_each_step_...)
+@pytest.mark.parametrize("config", [
+    gp_config(seed=5, max_epochs=3),
+    SloConfig(epsilon=EPS, radius_D=0.1, margin_d=0.04, subroutine=Subroutine.NGD,
+              seed=5, max_epochs=3),
+    agp_config(seed=5, max_epochs=3)], ids=["GP", "NGD", "AGP"])
+def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch, config):
+    # NGD samples L1 every epoch and steps with 1.5 x each sample; GP and AGP sample
+    # nothing, since each of their steps certifies its own constants
+    # (test_gp_certifies_each_step_..., test_agp_certification_... in test_agp.py)
     import sloopt.slo as slo_mod
 
     events = []
@@ -264,32 +263,25 @@ def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch,
             return est
         return run
 
-    def stepped(fn, takes_l2):
-        def run(oracle, x, l1, *args, **kwargs):
-            steps.append((l1, args[0] if takes_l2 else None, events[-2:]))
-            return fn(oracle, x, l1, *args, **kwargs)
-        return run
+    def stepped(oracle, x, l1, *args, **kwargs):
+        steps.append((l1, events[-1:]))
+        return a_ng(oracle, x, l1, *args, **kwargs)
 
-    steps = []
+    steps, a_ng = [], slo_mod.a_ng
     for name in ("estimate_l1", "estimate_l2"):
         monkeypatch.setattr(slo_mod, name, logged(name, getattr(slo_mod, name)))
-    monkeypatch.setattr(slo_mod, "a_ng", stepped(slo_mod.a_ng, False))
-    monkeypatch.setattr(slo_mod, "a_agp", stepped(slo_mod.a_agp, True))
+    monkeypatch.setattr(slo_mod, "a_ng", stepped)
     prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)
     res = run_slo(prob, np.full(prob.dim, 0.3), config)
     assert res.termination is Termination.EpochBudget
-    names = {Subroutine.GP: [], Subroutine.NGD: ["estimate_l1"],
-             Subroutine.AGP: ["estimate_l1", "estimate_l2"]}[config.subroutine]
-    assert [e[0] for e in events] == names * 3
+    samples = config.subroutine is Subroutine.NGD
+    assert [e[0] for e in events] == ["estimate_l1"] * 3 * samples
     for i, (_, radius, n_samples, seed, est) in enumerate(events):
-        assert (radius, n_samples, seed) == (ball_over_D * config.radius_D, 50,
-                                             (5, i // len(names) + 1))
+        assert (radius, n_samples, seed) == (config.radius_D, 50, (5, i + 1))
         assert est.method == "sampled"
-    assert bool(steps) == (config.subroutine is not Subroutine.GP)
-    for l1, l2, recent in steps:
-        est = {e[0]: e[4].value for e in recent}
-        assert l1 == 1.5 * est["estimate_l1"]
-        assert l2 == (1.5 * est["estimate_l2"] if "estimate_l2" in names else None)
+    assert bool(steps) == samples
+    for l1, recent in steps:
+        assert l1 == 1.5 * recent[0][4].value
 
 
 def _log_a_gp(monkeypatch):
