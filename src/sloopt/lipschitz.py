@@ -1,4 +1,4 @@
-"""Per-epoch local Lipschitz constants, analytic when available, sampled otherwise."""
+"""Local Lipschitz constants on a ball: L1 analytic or sampled, L2 analytic only."""
 
 from __future__ import annotations
 
@@ -19,19 +19,25 @@ class LipschitzEstimate:
     method: str  # "analytic" or "sampled"
 
 
-def _estimate(order, oracle, center, radius, n_samples, seed, make_probe):
-    """Shared body of the estimators: the analytic bound when the oracle has
-    one, else the max of ||probe(a) - probe(b)|| / ||a - b|| over seeded pairs
-    in the ball, floored at 1, with ``probe = make_probe(rng)`` built after the
-    points are drawn. probe runs once per point a pair needs, the center first,
-    so that a caller's one-entry gradient memo at the center still serves it."""
+def _analytic(growth, center, radius):
+    """``growth`` on the ball about the origin enclosing B(center, radius), floored at 1."""
+    return LipschitzEstimate(max(1.0, float(growth(norm(center) + radius))), "analytic")
+
+
+def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -> LipschitzEstimate:
+    """Gradient-Lipschitz constant over B(center, radius).
+
+    The analytic ``growth1`` bound when the oracle has one; otherwise the max of
+    ``||grad(a) - grad(b)|| / ||a - b||`` over seeded pairs in the ball, floored at 1,
+    for ``n_samples + 1`` gradient evaluations: each point a pair needs is probed once,
+    the center first, so that a caller's one-entry gradient memo at the center still
+    serves it. A sampled value is a lower bound; callers apply a safety factor.
+    """
     center = as_vector(center)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    growth = oracle.growth1 if order == 1 else oracle.growth2
-    if growth is not None:
-        r = norm(center) + radius
-        return LipschitzEstimate(max(1.0, float(growth(r))), "analytic")
+    if oracle.growth1 is not None:
+        return _analytic(oracle.growth1, center, radius)
     if n_samples < 2:
         raise ValueError("need at least 2 samples without analytic growth")
     # the center at index 0, then n_samples points uniform in the closed ball
@@ -40,8 +46,7 @@ def _estimate(order, oracle, center, radius, n_samples, seed, make_probe):
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = radius * rng.uniform(0.0, 1.0, size=n_samples) ** (1.0 / center.size)
     points = [center, *(center + directions * radii[:, None])]
-    probe = make_probe(rng)
-    probed = {0: probe(center)}
+    probed = {0: oracle.gradient(center)}
     # disjoint sample pairs, then each sample paired with the center
     pairs = [(i, i + 1) for i in range(1, n_samples, 2)]
     pairs += [(i, 0) for i in range(1, n_samples + 1)]
@@ -54,37 +59,19 @@ def _estimate(order, oracle, center, radius, n_samples, seed, make_probe):
         seen = True
         for k in (i, j):
             if k not in probed:
-                probed[k] = probe(points[k])
+                probed[k] = oracle.gradient(points[k])
         best = max(best, norm(probed[i] - probed[j]) / dist)
     if not seen:
         raise EstimationError("all sampled pairs degenerate")
     return LipschitzEstimate(max(1.0, best), "sampled")
 
 
-def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -> LipschitzEstimate:
-    """Gradient-Lipschitz constant over B(center, radius).
-
-    Analytic growth functions are evaluated on the enclosing ball around the
-    origin; otherwise the max gradient-difference ratio over seeded
-    sample pairs is returned, floored at 1, at a cost of ``n_samples + 1``
-    gradient evaluations. Sampled values are a lower bound of the true
-    supremum; callers are expected to apply a safety factor.
-    """
-    return _estimate(1, oracle, center, radius, n_samples, seed, lambda rng: oracle.gradient)
-
-
-def estimate_l2(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -> LipschitzEstimate:
-    """Hessian-Lipschitz constant over B(center, radius).
-
-    The sampled path probes Hessian-vector products along one seeded random
-    unit direction via central differences of the gradient, at a cost of
-    ``2 * (n_samples + 1)`` gradient evaluations.
-    """
-    h = 1e-4 * radius
-
-    def hess_vec(rng):
-        u = rng.standard_normal(np.size(center))
-        u /= norm(u)
-        return lambda p: (oracle.gradient(p + h * u) - oracle.gradient(p - h * u)) / (2.0 * h)
-
-    return _estimate(2, oracle, center, radius, n_samples, seed, hess_vec)
+def estimate_l2(oracle: ObjectiveOracle, center, radius) -> LipschitzEstimate:
+    """Hessian-Lipschitz constant over B(center, radius) from the oracle's
+    analytic ``growth2``; ValueError without it. Nothing is sampled."""
+    center = as_vector(center)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if oracle.growth2 is None:
+        raise ValueError("estimate_l2 needs an oracle with analytic growth2")
+    return _analytic(oracle.growth2, center, radius)

@@ -19,23 +19,6 @@ class ContractViolation(RuntimeError):
     """A subroutine returned a point outside the epoch ball."""
 
 
-def _epoch_constants(oracle, anchor, config: SloConfig, tau: int):
-    """(L1, L2) for the epoch, with the sampled-estimate safety factor applied.
-    LS uses neither; L2 is None for GP and NGD. Not called for a certified GP or AGP
-    run, so only NGD samples."""
-    sub = config.subroutine
-    if sub is Subroutine.LS:
-        return 1.0, 1.0
-    ball = 3.0 * config.radius_D if sub is Subroutine.AGP else config.radius_D
-    args = (oracle, anchor, ball, LIPSCHITZ_SAMPLES, (config.seed, tau))
-
-    def scaled(est):  # both estimate paths floor at 1, so the product does too
-        return est.value * (LIPSCHITZ_SAFETY if est.method == "sampled" else 1.0)
-
-    l1 = scaled(estimate_l1(*args))
-    return l1, (scaled(estimate_l2(*args)) if sub is Subroutine.AGP else None)
-
-
 def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     """Run the epoch framework with the configured subroutine until the
     gradient tolerance or a budget is reached."""
@@ -43,33 +26,37 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     slack = 1e-12 * max(1.0, D)
     ls_params = LsParams(delta_bar=config.ls_delta_bar)
     # Without analytic growth, GP certifies each step's L1 by a descent test, and AGP its
-    # (L1, L2) by the inner loop's certificates; with it, both step untested. The run
-    # keeps one pair, halved (floored at 1) when an epoch starts; GP reads only L1.
+    # (L1, L2) by the inner loop's certificates. The run keeps one pair L: a certified run
+    # halves it (floored at 1) per epoch and its steps write back what certified them;
+    # other runs but LS overwrite it per epoch. GP and NGD read only L1, LS neither.
     certify = (sub is Subroutine.GP and oracle.growth1 is None) or (
         sub is Subroutine.AGP and None in (oracle.growth1, oracle.growth2))
-    carried = [1.0, 1.0]
+    L = [1.0, 1.0]
 
     def start_epoch(counting, anchor, tau):
-        nonlocal carried
         if certify:
-            carried = [max(1.0, c / 2.0) for c in carried]
-        l1, l2 = (None, None) if certify else _epoch_constants(counting, anchor, config, tau)
+            L[:] = [max(1.0, c / 2.0) for c in L]
+        elif sub is not Subroutine.LS:
+            ball = 3.0 * D if sub is Subroutine.AGP else D
+            est = estimate_l1(counting, anchor, ball, LIPSCHITZ_SAMPLES, (config.seed, tau))
+            L[0] = est.value * (LIPSCHITZ_SAFETY if est.method == "sampled" else 1.0)
+            if sub is Subroutine.AGP:
+                L[1] = estimate_l2(counting, anchor, ball).value
 
         def step(x, g, f):
-            nonlocal carried
             if certify and sub is Subroutine.GP:
-                x_next, eta = a_gp(counting, x, anchor, 1.0 / carried[0], D, grad=g, f_x=f)
-                carried[0] = 1.0 / eta
+                x_next, eta = a_gp(counting, x, anchor, 1.0 / L[0], D, grad=g, f_x=f)
+                L[0] = 1.0 / eta
             elif certify:
-                x_next, _, *carried = a_agp(counting, x, *carried, anchor, D, config.epsilon, f_x=f)
+                x_next, _, L[0], L[1] = a_agp(counting, x, *L, anchor, D, config.epsilon, f_x=f)
             elif sub is Subroutine.GP:
-                x_next = a_gp(counting, x, anchor, 1.0 / l1, D, grad=g)
+                x_next = a_gp(counting, x, anchor, 1.0 / L[0], D, grad=g)
             elif sub is Subroutine.NGD:
-                x_next = a_ng(counting, x, l1, d, grad=g)
+                x_next = a_ng(counting, x, L[0], d, grad=g)
             elif sub is Subroutine.LS:
                 x_next, _, _ = a_ls(counting, x, -g, ls_params, grad=g, f_x=f)
             else:
-                x_next, _ = a_agp(counting, x, l1, l2, anchor, D, config.epsilon)
+                x_next, _ = a_agp(counting, x, *L, anchor, D, config.epsilon)
             dist = norm(x_next - anchor)
             if dist > D + slack:
                 raise ContractViolation(

@@ -38,6 +38,12 @@ class LsParams:
     alpha: float = 1.0       # gradient-related constant
     max_backtracks: int = MAX_BACKTRACKS
 
+    def __post_init__(self):
+        if not (0 < self.sigma < 1 and 0 < self.theta < 1 and self.delta_bar > 0
+                and 0 < self.alpha <= 1 and self.max_backtracks >= 0):
+            raise ValueError("LsParams needs 0 < sigma < 1, 0 < theta < 1, delta_bar > 0, "
+                             f"0 < alpha <= 1 and max_backtracks >= 0; got {self}")
+
 
 def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_x=None):
     """Gradient step projected radially onto the ball B(center, r).

@@ -157,10 +157,14 @@ def agp_config(**kw):
     return SloConfig(epsilon=EPS, radius_D=3 * d, margin_d=d, subroutine=Subroutine.AGP, **kw)
 
 
-@pytest.mark.parametrize("config", [gp_config(), agp_config()], ids=["GP", "AGP"])
+@pytest.mark.parametrize("config", [
+    gp_config(), agp_config(),
+    SloConfig(epsilon=EPS, radius_D=0.1, margin_d=0.04, subroutine=Subroutine.NGD)],
+    ids=["GP", "AGP", "NGD"])
 def test_start_that_meets_the_tolerance_spends_no_estimate(config):
-    # the planted components are an exact minimizer; estimating the sampled
-    # constants before the tolerance test would cost 150 (GP) or 451 (AGP)
+    # the planted components are an exact minimizer, so the start's gradient ends the
+    # run; GP and AGP certify their constants and sample none, and NGD would spend 50
+    # more evaluations had it sampled L1 before the tolerance test
     prob, comps = generate_planted_tensor(4, 3, 2, 0.5, 1.5, 0)
     grads = _log_calls(prob, "gradient")
     res = run_slo(prob, comps.reshape(-1), config)
@@ -257,9 +261,9 @@ def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch,
     events = []
 
     def logged(name, fn):
-        def run(oracle, center, radius, n_samples, seed):
-            est = fn(oracle, center, radius, n_samples, seed)
-            events.append((name, radius, n_samples, seed, est))
+        def run(oracle, center, radius, *rest):
+            est = fn(oracle, center, radius, *rest)
+            events.append((name, radius, *rest, est))
             return est
         return run
 
@@ -327,6 +331,24 @@ def test_gp_with_analytic_growth_steps_at_one_over_l1_without_a_test(monkeypatch
     for center, _, eta, f_x, out in calls:
         assert f_x is None and isinstance(out, np.ndarray)
         assert eta == 1.0 / max(1.0, prob.growth1(np.linalg.norm(center) + 0.1))
+
+
+def test_agp_with_analytic_growth_steps_with_both_ball_bounds_without_a_test(monkeypatch):
+    import sloopt.slo as slo_mod
+
+    calls, a_agp = [], slo_mod.a_agp
+
+    def logged(oracle, xbar, l1, l2, anchor, radius_D, epsilon, f_x=None):
+        calls.append((anchor, l1, l2, f_x))
+        return a_agp(oracle, xbar, l1, l2, anchor, radius_D, epsilon, f_x=f_x)
+
+    monkeypatch.setattr(slo_mod, "a_agp", logged)
+    prob, cfg = QuarticProblem(2), agp_config(max_epochs=3)
+    run_slo(prob, np.array([1.0, -0.5]), cfg)
+    assert calls
+    for anchor, l1, l2, f_x in calls:
+        r = np.linalg.norm(anchor) + 3 * cfg.radius_D
+        assert f_x is None and (l1, l2) == (prob.growth1(r), prob.growth2(r))
 
 
 @st.composite

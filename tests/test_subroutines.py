@@ -142,3 +142,18 @@ def test_ls_backtrack_budget_error():
 def test_ls_zero_direction_rejected():
     with pytest.raises(DirectionError):
         a_ls(quad(1), np.array([1.0]), np.zeros(1), LsParams())
+
+
+@pytest.mark.parametrize("name, value", [
+    ("sigma", 0.0), ("sigma", 1.0), ("sigma", float("nan")), ("theta", 0.0), ("theta", 1.0),
+    ("delta_bar", 0.0), ("delta_bar", -1.0), ("alpha", 0.0), ("alpha", 1.5),
+    ("max_backtracks", -1)])
+def test_ls_params_reject_constants_out_of_range(name, value):
+    with pytest.raises(ValueError, match="LsParams needs"):
+        LsParams(**{name: value})
+
+
+def test_ls_params_accept_the_closed_ends():
+    params = LsParams(sigma=0.1, alpha=1.0, max_backtracks=0)
+    out, delta, backtracks = a_ls(quad(1), np.array([1.0]), np.array([-1.0]), params)
+    assert (delta, backtracks) == (1.0, 0) and out[0] == 0.0

@@ -1,13 +1,15 @@
-"""Regression scan for solver faults: ``agp`` on 48 small instances.
+"""Regression scan for solver faults: ``pgd`` and ``agp`` on 48 small instances.
 
     PYTHONPATH=src python3 tools/fault_scan.py
 
-One ``run_experiment`` call (``methods=("agp",)``, ``epsilon=1e-6``,
-``radius=0.1``, every other field at its default) runs for each of seeds
-0-11 on four problems: the default ``supervised`` and ``autoencoder`` nets,
-the default ``tensor`` and ``tensor`` at ``d=8, k=5, m=3``. The calls write
-into one temporary directory. The scan prints the failed runs per problem and
-exits 1 if any run recorded an error, else 0.
+``pgd`` and ``agp`` are the two methods that carry their step constants from
+one epoch to the next. One ``run_experiment`` call (``methods=("pgd", "agp")``,
+``epsilon=1e-6``, ``radius=0.1``, every other field at its default) runs for
+each of seeds 0-11 on four problems: the default ``supervised`` and
+``autoencoder`` nets, the default ``tensor`` and ``tensor`` at
+``d=8, k=5, m=3``. The calls write into one temporary directory. The scan
+prints the failed runs per problem and exits 1 if any run recorded an error,
+else 0.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ PROBLEMS = (
     ("tensor", {"tensor_d": 8, "tensor_k": 5, "tensor_m": 3}),
 )
 SEEDS = range(12)
+METHODS = ("pgd", "agp")
 
 
 def main() -> int:
@@ -32,16 +35,18 @@ def main() -> int:
         for problem, params in PROBLEMS:
             errors = []
             for seed in SEEDS:
-                spec = harness.ExperimentSpec(problem=problem, methods=("agp",), epsilon=1e-6,
+                spec = harness.ExperimentSpec(problem=problem, methods=METHODS, epsilon=1e-6,
                                               radius=0.1, seed=seed, output_dir=tmp,
                                               problem_params=dict(params))
-                errors += [(seed, msg) for msg in harness.run_experiment(spec)["errors"].values()]
+                errors += [(seed, run, msg)
+                           for run, msg in harness.run_experiment(spec)["errors"].items()]
+            runs = len(SEEDS) * len(METHODS)
             label = problem + "".join(f" {k}={v}" for k, v in params.items())
-            print(f"{label}: {len(errors)} of {len(SEEDS)} failed", flush=True)
-            for seed, msg in errors:
-                print(f"  seed {seed}: {msg}")
+            print(f"{label}: {len(errors)} of {runs} failed", flush=True)
+            for seed, run, msg in errors:
+                print(f"  seed {seed} {run}: {msg}")
             failed += len(errors)
-            total += len(SEEDS)
+            total += runs
     print(f"{failed} of {total} runs failed")
     return 1 if failed else 0
 
