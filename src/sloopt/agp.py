@@ -140,13 +140,13 @@ def _iter_bound(l1_hat, alpha, psi, eps_hat):
     return 1.0 + max(0.0, math.sqrt(l1_hat / alpha) * math.log(2.0 * l1_hat * psi / eps_hat))
 
 
-def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
+def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None) -> UpgOutcome:
     """Accelerated projected gradient loop that stops at one of five outcomes.
 
     Flags: 1 boundary exit with descent, 2 boundary exit with an NC pair,
     3 certified witness on the boundary, 4 interior NC pair, 5 small
     augmented gradient. f_hat is evaluated at y0 once, apart from the NC-pair
-    search of flags 2 and 4.
+    search of flags 2 and 4; a caller that has f_hat's gradient at y0 passes it in.
     """
     y0 = as_vector(y0)
     if not region.is_interior(y0):
@@ -163,8 +163,8 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
     cap = 10_000  # refined from the theoretical bound at t = 1
     bound_at_exit = None
     t = 1
+    g = f_hat.gradient(y0) if grad_y0 is None else grad_y0
     while True:
-        g = f_hat.gradient(x_hist[t - 1])
         y_tilde = x_hist[t - 1] - g / l1_hat
         check_finite(y_tilde, "accelerated iterate")
         if region.is_interior(y_tilde):
@@ -202,6 +202,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
                 f"accelerated loop exceeded the safety cap of {cap} iterations; "
                 "the Lipschitz estimates are inconsistent with the objective"
             )
+        g = f_hat.gradient(x_hist[t - 1])
     # flags 2 and 4: an NC pair among the iterates so far, tested against w
     pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], w, alpha)
     if pair is None:
@@ -210,7 +211,8 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha) -> UpgOutcome:
                       iters_t=t, iter_bound=bound_at_exit)
 
 
-def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon, f_x=None):
+def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon, grad=None,
+          f_x=None):
     """One accelerated epoch step: regularize at xbar, run the inner loop,
     and convert NC pairs into descent via the curvature-exploiting probes.
 
@@ -218,8 +220,8 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
     ``f_x = f(xbar)``, the step is redone from xbar until it is certified,
     and ``(out, outcome, l1, l2)`` is returned: l1 is doubled when the inner
     loop raises AgpError or a flag-1/3/5 point has ``f(out) > f_x``, l2 when
-    a flag-2/4 point misses ``f_x - alpha^3 / (64 l2^2)``, and
-    BacktrackBudgetError follows MAX_BACKTRACKS doublings.
+    a flag-2/4 point misses ``f_x - alpha^3 / (64 l2^2)``, and BacktrackBudgetError
+    follows MAX_BACKTRACKS doublings. Given ``grad`` at xbar, no trial evaluates it.
     """
     xbar = as_vector(xbar)
     epoch_anchor = as_vector(epoch_anchor)
@@ -236,8 +238,10 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
         tried = (l1, l2)
         alpha = 2.0 * math.sqrt(l2) * quarter
         f_hat = AugmentedOracle(oracle, xbar, alpha)
+        # f_hat's gradient at xbar, as AugmentedOracle.gradient computes it
+        g0 = None if grad is None else grad + 2.0 * alpha * (xbar - xbar)
         try:
-            outcome = agp_upg(f_hat, region, xbar, epsilon / 100.0, l1 + 2.0 * alpha, alpha)
+            outcome = agp_upg(f_hat, region, xbar, epsilon / 100.0, l1 + 2.0 * alpha, alpha, g0)
         except AgpError:  # no NC pair, or the iteration cap: l1 is too small
             if f_x is None:
                 raise

@@ -299,6 +299,49 @@ def test_agp_certification_doubles_both_constants_until_the_nc_step_descends():
     assert assert_certified(prob, xbar, xbar, radius, eps, 1.0, 1.0, step) == (4.0, 64.0)
 
 
+def test_agp_given_the_gradient_at_xbar_starts_no_retry_by_evaluating_it(monkeypatch):
+    # the case above, which retries from l1 = 1: given grad, the only gradient
+    # evaluations at xbar are the NC-pair search's, and every output bit is the same
+    import sloopt.agp as agp_mod
+
+    eps, prob, xbar = 1e-6, Poly1D([0.0, -0.4, -0.5, 25.0, 150.0]), np.zeros(1)
+    radius = 6 * eps ** 0.25
+    searching, at_xbar, trials = [False], [], []
+    find_nc_pair, agp_upg_run = agp_mod.find_nc_pair, agp_mod.agp_upg
+
+    def search(*args):
+        searching[0] = True
+        try:
+            return find_nc_pair(*args)
+        finally:
+            searching[0] = False
+
+    def upg(*args):
+        trials.append(args)
+        return agp_upg_run(*args)
+
+    class Logged(Poly1D):
+        def gradient(self, x):
+            if not searching[0] and np.array_equal(x, xbar):
+                at_xbar.append(x)
+            return super().gradient(x)
+
+    monkeypatch.setattr(agp_mod, "find_nc_pair", search)
+    monkeypatch.setattr(agp_mod, "agp_upg", upg)
+    oracle, steps, counts = Logged(prob.p.coef), [], []
+    for grad in (None, prob.gradient(xbar)):
+        at_xbar.clear(), trials.clear()
+        steps.append(a_agp(oracle, xbar, 1.0, 1.0, xbar, radius, eps, grad=grad,
+                           f_x=prob.value(xbar)))
+        counts.append((len(trials), len(at_xbar)))
+    assert counts[0][0] == counts[0][1] > 1 and counts[1] == (counts[0][0], 0)
+    (out, outcome, l1, l2), (out_g, outcome_g, l1_g, l2_g) = steps
+    assert (out.tobytes(), l1, l2) == (out_g.tobytes(), l1_g, l2_g)
+    for field in ("flag", "point_p", "nc_u", "nc_v", "y_history", "iters_t", "iter_bound"):
+        a, b = getattr(outcome, field), getattr(outcome_g, field)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_agp_certification_on_the_autoencoder_from_its_round_one_start(monkeypatch):
     # the 6-4-4-6 linear autoencoder of the net-ae benchmark workload, round 1: every
     # step certifies the carried constants, some only after doubling L1 from 1
@@ -307,8 +350,8 @@ def test_agp_certification_on_the_autoencoder_from_its_round_one_start(monkeypat
     eps, radius = 1e-6, 6 * 1e-6 ** 0.25
     steps, a_agp_run = [], slo_mod.a_agp
 
-    def logged(oracle, xbar, l1, l2, anchor, radius_D, epsilon, f_x=None):
-        step = a_agp_run(oracle, xbar, l1, l2, anchor, radius_D, epsilon, f_x=f_x)
+    def logged(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=None, f_x=None):
+        step = a_agp_run(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=grad, f_x=f_x)
         assert f_x == prob.value(xbar)
         steps.append((l1, assert_certified(prob, xbar, anchor, radius_D, epsilon, l1, l2, step)))
         return step

@@ -303,7 +303,7 @@ def _log_a_gp(monkeypatch):
     return calls
 
 
-def test_gp_certifies_each_step_and_halves_the_carried_constant_per_epoch(monkeypatch):
+def test_gp_starts_each_step_from_half_the_last_certified_constant(monkeypatch):
     calls = _log_a_gp(monkeypatch)
     prob, _ = generate_planted_tensor(4, 3, 3, 0.5, 1.5, 1)
     res = run_slo(prob, uniform_init(prob.dim, 0.5, 11),
@@ -312,14 +312,32 @@ def test_gp_certifies_each_step_and_halves_the_carried_constant_per_epoch(monkey
     l_prev, first_etas = 1.0, []
     for i, (center, x, eta, f_x, (_, eta_out)) in enumerate(calls):
         if i == 0 or center is not calls[i - 1][0]:
+            # the epoch halves the carried constant, then the step halves it again
             first_etas.append(eta)
-            assert eta == 1.0 / max(1.0, l_prev / 2)
+            assert eta == 1.0 / max(1.0, max(1.0, l_prev / 2) / 2)
         else:
-            assert eta == 1.0 / l_prev
+            assert eta == 1.0 / max(1.0, l_prev / 2)
         assert f_x == prob.value(x) and eta_out <= eta
         l_prev = 1.0 / eta_out
-    # epoch 3 certifies L = 8 in 28 steps; epochs 4 and 5 start from 4 and 2
-    assert first_etas == [1.0, 1.0, 1.0, 0.25, 0.5]
+    # epoch 3 certifies L = 8 at its first step, and the next steps start from 4, 2, 1
+    assert first_etas == [1.0, 1.0, 1.0, 1.0, 1.0]
+    assert [1.0 / eta for _, _, eta, _, _ in calls[2:6]] == [1.0, 4.0, 2.0, 1.0]
+
+
+def test_certified_gp_stepsize_grows_back_as_the_curvature_falls(monkeypatch):
+    # ||x||^4 / 4 certified without growth1 from far out: the Hessian norm 3||x||^2
+    # falls along the path, so a later step may take a longer certified step
+    calls = _log_a_gp(monkeypatch)
+    prob = QuarticProblem(2)
+    prob.growth1 = None
+    res = run_slo(prob, np.array([3.0, -1.0]), gp_config(radius_D=2.0, max_epochs=3))
+    assert res.termination is Termination.GradientTolerance
+    grew = 0
+    for i, (center, x, _, f_x, (x_next, eta)) in enumerate(calls):
+        gap = x_next - x
+        assert f_x - prob.value(x_next) >= float(np.dot(gap, gap)) / (2 * eta)
+        grew += i > 0 and center is calls[i - 1][0] and eta > calls[i - 1][4][1]
+    assert grew >= 1
 
 
 def test_gp_with_analytic_growth_steps_at_one_over_l1_without_a_test(monkeypatch):
@@ -338,9 +356,9 @@ def test_agp_with_analytic_growth_steps_with_both_ball_bounds_without_a_test(mon
 
     calls, a_agp = [], slo_mod.a_agp
 
-    def logged(oracle, xbar, l1, l2, anchor, radius_D, epsilon, f_x=None):
+    def logged(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=None, f_x=None):
         calls.append((anchor, l1, l2, f_x))
-        return a_agp(oracle, xbar, l1, l2, anchor, radius_D, epsilon, f_x=f_x)
+        return a_agp(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=grad, f_x=f_x)
 
     monkeypatch.setattr(slo_mod, "a_agp", logged)
     prob, cfg = QuarticProblem(2), agp_config(max_epochs=3)
