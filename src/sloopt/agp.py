@@ -81,57 +81,26 @@ class UpgOutcome:
             raise ValueError(f"invalid flag {self.flag}")
 
 
-def find_nc_pair(f_hat, x_hist, y_hist, w, alpha):
+def find_nc_pair(f_hat, x_hist, y_hist, w, alpha, x_grads=None):
     """First witness that f_hat is not alpha-strongly convex above its tangents.
 
     Scans j ascending, trying u = y_hist[j] then u = w against v = x_hist[j];
-    returns (u, v) for the first strict violation, or None.
+    returns (u, v) for the first strict violation, or None. A caller that has
+    f_hat's gradient at each x_hist[j] passes them in as x_grads.
     """
     if len(x_hist) != len(y_hist):
         raise ValueError("x_hist and y_hist must have equal length")
     w = as_vector(w)
     fw = f_hat.value(w)
-    for xj, yj in zip(x_hist, y_hist):
+    for j, (xj, yj) in enumerate(zip(x_hist, y_hist)):
         fxj = f_hat.value(xj)
-        gxj = f_hat.gradient(xj)
+        gxj = f_hat.gradient(xj) if x_grads is None else x_grads[j]
         for u, fu in ((yj, f_hat.value(yj)), (w, fw)):
             gap = u - xj
             tangent = fxj + float(np.dot(gxj, gap)) + 0.5 * alpha * float(np.dot(gap, gap))
             if fu < tangent:
                 return np.array(u, dtype=float), np.array(xj, dtype=float)
     return None
-
-
-def certify_progress(f_hat, region: AgpRegion, y0, yt, l1_hat, alpha, kappa, t,
-                     grad_yt=None, f_y0=None, psi=None, f_yt=None):
-    """Witness that the accelerated iterates are not making certified progress.
-
-    Returns a witness point or None. The three branches, in order: objective
-    increase (witness y0), a gradient step exiting the interior (witness its
-    projection), or a gradient norm too large for t accelerated iterations
-    (witness the gradient step itself). A caller that already has the
-    gradient at yt, f_hat at y0 or yt, or the psi of that gradient step passes it in.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    y0 = as_vector(y0)
-    yt = as_vector(yt)
-    f_y0 = f_hat.value(y0) if f_y0 is None else f_y0
-    if (f_hat.value(yt) if f_yt is None else f_yt) > f_y0:
-        return np.array(y0)
-    g = f_hat.gradient(yt) if grad_yt is None else grad_yt
-    z = yt - g / l1_hat
-    if not region.is_interior(z):
-        return region.project(z)
-    psi = _psi(f_hat, y0, f_y0, z, alpha) if psi is None else psi
-    if float(np.dot(g, g)) > 2.0 * l1_hat * psi * math.exp(-t / math.sqrt(kappa)):
-        return z
-    return None
-
-
-def _psi(f_hat, y0, f_y0, z, alpha):
-    dz = z - y0
-    return f_y0 - f_hat.value(z) + 0.5 * alpha * float(np.dot(dz, dz))
 
 
 def _iter_bound(l1_hat, alpha, psi, eps_hat):
@@ -145,8 +114,11 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None) 
 
     Flags: 1 boundary exit with descent, 2 boundary exit with an NC pair,
     3 certified witness on the boundary, 4 interior NC pair, 5 small
-    augmented gradient. f_hat is evaluated at y0 once, apart from the NC-pair
-    search of flags 2 and 4; a caller that has f_hat's gradient at y0 passes it in.
+    augmented gradient. A failed progress certificate gives the witness of
+    flags 3 and 4: y0 if f_hat rose, else the projection of the gradient step z
+    from yt if z leaves the interior, else z if the gradient is too large for t
+    accelerated iterations. f_hat is evaluated at y0 once, apart from the NC-pair
+    search; a caller that has f_hat's gradient at y0 passes it in.
     """
     y0 = as_vector(y0)
     if not region.is_interior(y0):
@@ -164,6 +136,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None) 
     bound_at_exit = None
     t = 1
     g = f_hat.gradient(y0) if grad_y0 is None else grad_y0
+    x_grads = [g]  # the gradient at each x_hist[j], which the NC-pair search reuses
     while True:
         y_tilde = x_hist[t - 1] - g / l1_hat
         check_finite(y_tilde, "accelerated iterate")
@@ -181,30 +154,37 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None) 
         gy = f_hat.gradient(yt)
         f_yt = f_hat.value(yt)  # next to the gradient, so the base oracle's memo serves it
         z = yt - gy / l1_hat
-        psi = None
-        if region.is_interior(z):
-            psi = _psi(f_hat, y0, f_y0, z, alpha)
+        z_interior = region.is_interior(z)
+        if z_interior:
+            dz = z - y0
+            psi = f_y0 - f_hat.value(z) + 0.5 * alpha * float(np.dot(dz, dz))
             bound_at_exit = _iter_bound(l1_hat, alpha, psi, eps_hat)
             if t == 1:
                 cap = max(10_000, int(10 * bound_at_exit) + 1)
-        w = certify_progress(f_hat, region, y0, yt, l1_hat, alpha, kappa, t,
-                             grad_yt=gy, f_y0=f_y0, psi=psi, f_yt=f_yt)
-        if w is not None:
-            if region.on_boundary(w):
-                return UpgOutcome(3, point_p=w, iters_t=t, iter_bound=bound_at_exit)
-            flag, exit_kind = 4, "progress certificate failed"
-            break
-        if norm(gy) <= math.sqrt(eps_hat):
+        if f_yt > f_y0:
+            w = y0
+        elif not z_interior:
+            w = region.project(z)
+        elif float(np.dot(gy, gy)) > 2.0 * l1_hat * psi * math.exp(-t / math.sqrt(kappa)):
+            w = z
+        elif norm(gy) <= math.sqrt(eps_hat):
             return UpgOutcome(5, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
-        t += 1
-        if t > cap:
-            raise AgpError(
-                f"accelerated loop exceeded the safety cap of {cap} iterations; "
-                "the Lipschitz estimates are inconsistent with the objective"
-            )
-        g = f_hat.gradient(x_hist[t - 1])
+        else:
+            t += 1
+            if t > cap:
+                raise AgpError(
+                    f"accelerated loop exceeded the safety cap of {cap} iterations; "
+                    "the Lipschitz estimates are inconsistent with the objective"
+                )
+            g = f_hat.gradient(x_hist[t - 1])
+            x_grads.append(g)
+            continue
+        if region.on_boundary(w):
+            return UpgOutcome(3, point_p=w, iters_t=t, iter_bound=bound_at_exit)
+        flag, exit_kind = 4, "progress certificate failed"
+        break
     # flags 2 and 4: an NC pair among the iterates so far, tested against w
-    pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], w, alpha)
+    pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], w, alpha, x_grads)
     if pair is None:
         raise AgpError(f"{exit_kind} but no NC pair found; l1_hat is likely underestimated")
     return UpgOutcome(flag, nc_u=pair[0], nc_v=pair[1], y_history=[np.array(v) for v in y_hist],

@@ -25,16 +25,17 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     sub, D, d = config.subroutine, config.radius_D, config.margin_d
     slack = 1e-12 * max(1.0, D)
     ls_params = LsParams(delta_bar=config.ls_delta_bar)
-    # Without analytic growth, GP certifies each step's L1 by a descent test and AGP its
-    # (L1, L2) by the inner loop's certificates: the run's one pair L is halved (floored at 1)
-    # per epoch, each step writes back what certified it, and each GP step starts from half
-    # the L1 that certified the previous one. Other runs but LS overwrite L per epoch.
-    certify = (sub is Subroutine.GP and oracle.growth1 is None) or (
+    # GP without analytic growth certifies each step's L1 by a descent test, and every AGP
+    # step certifies its (L1, L2) by the inner loop's certificates. Without analytic growth
+    # the run's one pair L is halved (floored at 1) per epoch, each step writes back what
+    # certified it, and each GP step starts from half the L1 that certified the previous one.
+    # Other runs but LS overwrite L per epoch, and analytic GP steps take no test.
+    carry = (sub is Subroutine.GP and oracle.growth1 is None) or (
         sub is Subroutine.AGP and None in (oracle.growth1, oracle.growth2))
     L = [1.0, 1.0]
 
     def start_epoch(counting, anchor, tau):
-        if certify:
+        if carry:
             L[:] = [max(1.0, c / 2.0) for c in L]
         elif sub is not Subroutine.LS:
             ball = 3.0 * D if sub is Subroutine.AGP else D
@@ -44,13 +45,10 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
                 L[1] = estimate_l2(counting, anchor, ball).value
 
         def step(x, g, f):
-            if certify and sub is Subroutine.GP:
+            if carry and sub is Subroutine.GP:
                 x_next, eta = a_gp(counting, x, anchor, 1.0 / max(1.0, L[0] / 2.0), D,
                                    grad=g, f_x=f)
                 L[0] = 1.0 / eta
-            elif certify:
-                x_next, _, L[0], L[1] = a_agp(counting, x, *L, anchor, D, config.epsilon,
-                                              grad=g, f_x=f)
             elif sub is Subroutine.GP:
                 x_next = a_gp(counting, x, anchor, 1.0 / L[0], D, grad=g)
             elif sub is Subroutine.NGD:
@@ -58,7 +56,8 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
             elif sub is Subroutine.LS:
                 x_next, _, _ = a_ls(counting, x, -g, ls_params, grad=g, f_x=f)
             else:
-                x_next, _ = a_agp(counting, x, *L, anchor, D, config.epsilon, grad=g)
+                x_next, _, L[0], L[1] = a_agp(counting, x, *L, anchor, D, config.epsilon,
+                                              grad=g, f_x=f)
             dist = norm(x_next - anchor)
             if dist > D + slack:
                 raise ContractViolation(

@@ -5,8 +5,8 @@ import pytest
 
 import sloopt.slo as slo_mod
 from sloopt import harness
-from sloopt.agp import (AgpError, AgpRegion, AugmentedOracle, a_agp,
-                        agp_upg, certify_progress, find_nc_pair)
+from sloopt.agp import (AgpError, AgpRegion, AugmentedOracle, a_agp, agp_upg,
+                        find_nc_pair)
 from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloConfig,
                          Subroutine, Termination)
 from sloopt.problems import (NegQuadraticProblem, QuadraticProblem, QuarticProblem,
@@ -94,21 +94,39 @@ def test_nc_pair_found_on_concave_quadratic():
     assert nc_gap(f, u, v, 0.1) < 0
 
 
-def test_certify_flags_objective_increase():
-    f = QuadraticProblem(1)
-    region = AgpRegion(np.zeros(1), 1.0)
-    w = certify_progress(f, region, np.array([0.1]), np.array([0.5]),
-                         l1_hat=1.0, alpha=0.5, kappa=2.0, t=1)
-    np.testing.assert_array_equal(w, [0.1])  # witness is y0
+class CallLog(ObjectiveOracle):
+    """Passes calls to ``base``, logs every point where value is asked and counts
+    gradient calls."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.points, self.grads = base, base.dim, [], 0
+
+    def value(self, x):
+        self.points.append(np.array(x))
+        return self.base.value(x)
+
+    def gradient(self, x):
+        self.grads += 1
+        return self.base.gradient(x)
 
 
-def test_certify_accepts_fast_convex_progress():
-    f = QuadraticProblem(1)
-    region = AgpRegion(np.zeros(1), 10.0)
-    # gradient step from y_t stays interior and the norm shrinks on schedule
-    w = certify_progress(f, region, np.array([1.0]), np.array([0.5]),
-                         l1_hat=1.0, alpha=1.0, kappa=1.0, t=1)
-    assert w is None
+def test_nc_pair_search_given_the_gradients_evaluates_none_and_finds_the_same_pair():
+    rng = np.random.default_rng(3)
+    found = 0
+    for _ in range(50):
+        h = rng.standard_normal((3, 3))
+        f = CallLog(GeneralQuadratic(h + h.T))
+        x_hist, y_hist = list(rng.standard_normal((2, 4, 3)))
+        w, alpha = rng.standard_normal(3), rng.uniform(0.1, 2.0)
+        pair = find_nc_pair(f, x_hist, y_hist, w, alpha)
+        x_grads = [f.gradient(x) for x in x_hist]
+        f.grads = 0
+        pair_g = find_nc_pair(f, x_hist, y_hist, w, alpha, x_grads)
+        assert f.grads == 0 and (pair is None) == (pair_g is None)
+        if pair is not None:
+            found += 1
+            assert [v.tobytes() for v in pair] == [v.tobytes() for v in pair_g]
+    assert 0 < found < 50
 
 
 class Concave1D(ObjectiveOracle):
@@ -192,18 +210,41 @@ def test_upg_iteration_count_within_bound():
             assert out.iters_t <= out.iter_bound + 1
 
 
-class ValueLog(ObjectiveOracle):
-    """Passes calls to ``base`` and logs every point where value is asked."""
+@pytest.mark.parametrize("f, radius, y0, l1_hat, alpha, flag", [
+    # -0.5 x^2 from 0.01, 10 higher beyond 0.045: the second iterate, 0.053, rises
+    (ShellRidge(1.0, ridge_from=0.045), 1.0, [0.01], 1.0, 0.05, 4),
+    # the same beyond 0.299 in a region of radius 0.3: the boundary exit does not descend
+    (ShellRidge(1.0, ridge_from=0.299), 0.3, [0.01], 1.0, 0.05, 2),
+    # -0.5 x^2 from 0.1: y1 = 0.2 descends, but its gradient step z = 0.4 leaves the region
+    (Concave1D(1.0), 0.3, [0.1], 1.0, 0.05, 3),
+    (random_spd_quadratic(np.random.default_rng(1), 3, 0.6, 0.9), 50.0, [0.2, -0.1, 0.3],
+     1.0, 0.5, 5)], ids=["increase", "boundary", "exit", "convex"])
+def test_upg_witnesses_and_their_nc_pair_search(monkeypatch, f, radius, y0, l1_hat, alpha,
+                                               flag):
+    import sloopt.agp as agp_mod
 
-    def __init__(self, base):
-        self.base, self.dim, self.points = base, base.dim, []
+    f, y0, searches, search = CallLog(f), np.array(y0), [], agp_mod.find_nc_pair
 
-    def value(self, x):
-        self.points.append(np.array(x))
-        return self.base.value(x)
+    def logged(*args):
+        before = f.grads
+        pair = search(*args)
+        searches.append((args[3], f.grads - before))
+        return pair
 
-    def gradient(self, x):
-        return self.base.gradient(x)
+    monkeypatch.setattr(agp_mod, "find_nc_pair", logged)
+    out = agp_upg(f, AgpRegion(np.zeros(f.dim), radius), y0, 1e-8, l1_hat, alpha)
+    assert out.flag == flag
+    if flag in (2, 4):
+        # y0 is the witness of an objective increase and of a boundary exit without
+        # descent, and the search reuses the loop's gradients at its iterates
+        assert out.iters_t > 1 and len(searches) == 1
+        assert np.array_equal(searches[0][0], y0) and searches[0][1] == 0
+    else:
+        assert searches == []
+    if flag == 3:  # the witness is the projection of z onto the boundary
+        np.testing.assert_allclose(out.point_p, [0.3], rtol=1e-15)
+    if flag == 5:  # the certificate held at every accelerated iteration
+        assert out.iters_t > 1
 
 
 def test_upg_evaluates_f_hat_at_y0_once_per_call():
@@ -211,7 +252,7 @@ def test_upg_evaluates_f_hat_at_y0_once_per_call():
     cases = [(random_spd_quadratic(rng, 3, 0.6, 0.9), 50.0, np.array([0.2, -0.1, 0.3]), 5),
              (Concave1D(1.0), 0.3, np.array([0.01]), 1)]
     for f, radius, y0, flag in cases:
-        f_hat = ValueLog(f)
+        f_hat = CallLog(f)
         out = agp_upg(f_hat, AgpRegion(np.zeros(f.dim), radius), y0,
                       eps_hat=1e-8, l1_hat=1.0, alpha=0.5 if flag == 5 else 0.05)
         assert out.flag == flag and out.iters_t > 1
@@ -300,21 +341,14 @@ def test_agp_certification_doubles_both_constants_until_the_nc_step_descends():
 
 
 def test_agp_given_the_gradient_at_xbar_starts_no_retry_by_evaluating_it(monkeypatch):
-    # the case above, which retries from l1 = 1: given grad, the only gradient
-    # evaluations at xbar are the NC-pair search's, and every output bit is the same
+    # the case above, which retries from l1 = 1: given grad, no gradient is evaluated at
+    # xbar at all (the NC-pair search reuses the inner loop's), and every output bit is the same
     import sloopt.agp as agp_mod
 
     eps, prob, xbar = 1e-6, Poly1D([0.0, -0.4, -0.5, 25.0, 150.0]), np.zeros(1)
     radius = 6 * eps ** 0.25
-    searching, at_xbar, trials = [False], [], []
-    find_nc_pair, agp_upg_run = agp_mod.find_nc_pair, agp_mod.agp_upg
-
-    def search(*args):
-        searching[0] = True
-        try:
-            return find_nc_pair(*args)
-        finally:
-            searching[0] = False
+    at_xbar, trials = [], []
+    agp_upg_run = agp_mod.agp_upg
 
     def upg(*args):
         trials.append(args)
@@ -322,11 +356,10 @@ def test_agp_given_the_gradient_at_xbar_starts_no_retry_by_evaluating_it(monkeyp
 
     class Logged(Poly1D):
         def gradient(self, x):
-            if not searching[0] and np.array_equal(x, xbar):
+            if np.array_equal(x, xbar):
                 at_xbar.append(x)
             return super().gradient(x)
 
-    monkeypatch.setattr(agp_mod, "find_nc_pair", search)
     monkeypatch.setattr(agp_mod, "agp_upg", upg)
     oracle, steps, counts = Logged(prob.p.coef), [], []
     for grad in (None, prob.gradient(xbar)):

@@ -255,7 +255,8 @@ def test_contract_violation_is_a_hard_error(monkeypatch):
 def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch, config):
     # NGD samples L1 every epoch and steps with 1.5 x each sample; GP and AGP sample
     # nothing, since each of their steps certifies its own constants
-    # (test_gp_certifies_each_step_..., test_agp_certification_... in test_agp.py)
+    # (test_gp_starts_each_step_from_half_the_last_certified_constant,
+    # test_agp_certification_... in test_agp.py)
     import sloopt.slo as slo_mod
 
     events = []
@@ -351,22 +352,25 @@ def test_gp_with_analytic_growth_steps_at_one_over_l1_without_a_test(monkeypatch
         assert eta == 1.0 / max(1.0, prob.growth1(np.linalg.norm(center) + 0.1))
 
 
-def test_agp_with_analytic_growth_steps_with_both_ball_bounds_without_a_test(monkeypatch):
+def test_agp_with_analytic_growth_certifies_each_step_at_both_ball_bounds(monkeypatch):
     import sloopt.slo as slo_mod
 
     calls, a_agp = [], slo_mod.a_agp
 
     def logged(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=None, f_x=None):
-        calls.append((anchor, l1, l2, f_x))
-        return a_agp(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=grad, f_x=f_x)
+        step = a_agp(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=grad, f_x=f_x)
+        calls.append((xbar, anchor, l1, l2, f_x, step))
+        return step
 
     monkeypatch.setattr(slo_mod, "a_agp", logged)
     prob, cfg = QuarticProblem(2), agp_config(max_epochs=3)
     run_slo(prob, np.array([1.0, -0.5]), cfg)
     assert calls
-    for anchor, l1, l2, f_x in calls:
+    for xbar, anchor, l1, l2, f_x, (_, _, l1_out, l2_out) in calls:
         r = np.linalg.norm(anchor) + 3 * cfg.radius_D
-        assert f_x is None and (l1, l2) == (prob.growth1(r), prob.growth2(r))
+        assert (l1, l2) == (prob.growth1(r), prob.growth2(r))
+        # the step is certified, and passes at the ball bounds without doubling either
+        assert f_x == prob.value(xbar) and (l1_out, l2_out) == (l1, l2)
 
 
 @st.composite
