@@ -51,8 +51,7 @@ def main(argv=None) -> int:
                     "trace CSVs plus a best/average summary")
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--problem", choices=PROBLEMS)
-    parser.add_argument("--method",
-                        help=f"comma-separated subset of {','.join(METHODS)}")
+    parser.add_argument("--method", help=f"comma-separated subset of {','.join(METHODS)}")
     for key in ("epsilon", "radius", "margin", "rounds", "seed", "budget_evals", "budget_seconds"):
         parser.add_argument("--" + key.replace("_", "-"), type=_SPEC_KEYS[key], dest=key)
     parser.add_argument("--out", dest="output_dir")

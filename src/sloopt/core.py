@@ -142,7 +142,8 @@ class SloConfig:
             raise ValueError("epsilon must be positive")
         if self.radius_D <= 0:
             raise ValueError("radius_D must be positive")
-        if self.max_epochs <= 0 or self.max_total_grad_evals <= 0:
+        if not (self.max_epochs > 0 and self.max_total_grad_evals > 0
+                and (self.time_budget_s is None or self.time_budget_s > 0)):
             raise ValueError("budgets must be positive")
         radius, margin = epoch_geometry(sub, self.epsilon, self.radius_D, self.margin_d)
         if not (self.radius_D >= radius - 1e-12 and self.margin_d == margin):

@@ -39,6 +39,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.rounds < 1 or self.budget_evals < 1:
             raise ValueError("rounds and budget_evals must be >= 1")
+        if not (self.budget_seconds is None or self.budget_seconds > 0):
+            raise ValueError("budget_seconds must be positive")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         unknown = set(self.methods) - set(METHODS)

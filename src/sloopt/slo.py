@@ -6,7 +6,7 @@ import math
 
 from .agp import a_agp
 from .core import ObjectiveOracle, RunResult, SloConfig, Subroutine, drive, norm
-from .lipschitz import estimate_l1, estimate_l2
+from .lipschitz import estimate_l1, estimate_l2  # the benchmark tracer wraps slo.estimate_l2
 from .subroutines import LsParams, a_gp, a_ls, a_ng
 
 # Each sampled estimate (NGD without growth1) draws this many points, and the epoch uses
@@ -25,24 +25,19 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     sub, D, d = config.subroutine, config.radius_D, config.margin_d
     slack = 1e-12 * max(1.0, D)
     ls_params = LsParams(delta_bar=config.ls_delta_bar)
-    # GP without analytic growth certifies each step's L1 by a descent test, and every AGP
-    # step certifies its (L1, L2) by the inner loop's certificates. Without analytic growth
-    # the run's one pair L is halved (floored at 1) per epoch, each step writes back what
-    # certified it, and each GP step starts from half the L1 that certified the previous one.
-    # Other runs but LS overwrite L per epoch, and analytic GP steps take no test.
-    carry = (sub is Subroutine.GP and oracle.growth1 is None) or (
-        sub is Subroutine.AGP and None in (oracle.growth1, oracle.growth2))
+    # One pair L = [L1, L2] per run, one rule per subroutine: certified GP (no growth1)
+    # and every AGP run carry L, halve it (floored at 1) per epoch and write back what
+    # certified each step (a GP step starts from half that); analytic GP and NGD set L[0]
+    # per epoch from estimate_l1 on the ball D; LS ignores L.
+    carry = sub is Subroutine.AGP or (sub is Subroutine.GP and oracle.growth1 is None)
     L = [1.0, 1.0]
 
     def start_epoch(counting, anchor, tau):
         if carry:
             L[:] = [max(1.0, c / 2.0) for c in L]
         elif sub is not Subroutine.LS:
-            ball = 3.0 * D if sub is Subroutine.AGP else D
-            est = estimate_l1(counting, anchor, ball, LIPSCHITZ_SAMPLES, (config.seed, tau))
+            est = estimate_l1(counting, anchor, D, LIPSCHITZ_SAMPLES, (config.seed, tau))
             L[0] = est.value * (LIPSCHITZ_SAFETY if est.method == "sampled" else 1.0)
-            if sub is Subroutine.AGP:
-                L[1] = estimate_l2(counting, anchor, ball).value
 
         def step(x, g, f):
             if carry and sub is Subroutine.GP:
@@ -61,8 +56,7 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
             dist = norm(x_next - anchor)
             if dist > D + slack:
                 raise ContractViolation(
-                    f"subroutine produced a point at distance {dist:g} > D = {D:g}"
-                )
+                    f"subroutine produced a point at distance {dist:g} > D = {D:g}")
             # entering the margin shell closes the epoch
             return x_next, dist >= D - d - slack
         return step

@@ -128,6 +128,15 @@ def test_config_rejects_nonpositive_epsilon():
                   subroutine=Subroutine.GP)
 
 
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+def test_config_rejects_a_time_budget_that_is_not_positive(budget):
+    with pytest.raises(ValueError, match="budgets must be positive"):
+        SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP,
+                  time_budget_s=budget)
+    SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP,
+              time_budget_s=1e-9)
+
+
 def test_quartic_growth_bounds_dominate_true_constants():
     p = QuarticProblem(2)
     # on B(0, r) the Hessian norm is 3 r^2 and third derivative 6 r

@@ -304,6 +304,10 @@ CONFIG_FILES = {"layers.cfg": "net_layers = 6\n", "gd_step.cfg": "gd_step = -1\n
     (["--problem", "quartic", "--epsilon", "-1"], "ValueError: epsilon must be positive"),
     (["--problem", "quartic", "--budget-evals", "0"],
      "ValueError: rounds and budget_evals must be >= 1"),
+    (["--problem", "quartic", "--budget-seconds", "0"],
+     "ValueError: budget_seconds must be positive"),
+    (["--problem", "quartic", "--budget-seconds", "nan"],
+     "ValueError: budget_seconds must be positive"),
     (["--problem", "quartic", "--config", "gd_step.cfg"], "ValueError: gd_step must be positive"),
     (["--problem", "quartic", "--config", "gd_nan.cfg"], "ValueError: gd_step must be positive"),
     (["--problem", "quartic", "--method", "bpg,gd"],
@@ -313,8 +317,8 @@ CONFIG_FILES = {"layers.cfg": "net_layers = 6\n", "gd_step.cfg": "gd_step = -1\n
     (["--problem", "quartic", "--method", "bpg,gd", "--config", "bpg_l.cfg"],
      "ValueError: l_relative must be positive"),
 ], ids=["net-one-width-autoencoder", "net-one-width-supervised", "epsilon", "budget-evals",
-        "gd-step-negative", "gd-step-nan", "bpg-missing-constants", "bpg-degree-one",
-        "bpg-l-nan"])
+        "budget-seconds-zero", "budget-seconds-nan", "gd-step-negative", "gd-step-nan",
+        "bpg-missing-constants", "bpg-degree-one", "bpg-l-nan"])
 def test_cli_reports_configuration_errors_before_any_run(tmp_path, capsys, args, message):
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)

@@ -352,25 +352,39 @@ def test_gp_with_analytic_growth_steps_at_one_over_l1_without_a_test(monkeypatch
         assert eta == 1.0 / max(1.0, prob.growth1(np.linalg.norm(center) + 0.1))
 
 
-def test_agp_with_analytic_growth_certifies_each_step_at_both_ball_bounds(monkeypatch):
+def test_agp_with_analytic_growth_carries_its_certified_constants(monkeypatch):
     import sloopt.slo as slo_mod
 
     calls, a_agp = [], slo_mod.a_agp
 
-    def logged(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=None, f_x=None):
-        step = a_agp(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=grad, f_x=f_x)
+    def raised(oracle, xbar, l1, l2, anchor, radius_D, epsilon, grad=None, f_x=None):
+        # the quartic certifies every step at the pair it is given, so report each
+        # pair one larger, to see run_slo carry whatever a step returns
+        out, outcome, l1_out, l2_out = a_agp(oracle, xbar, l1, l2, anchor, radius_D,
+                                             epsilon, grad=grad, f_x=f_x)
+        step = (out, outcome, l1_out + 1.0, l2_out + 1.0)
         calls.append((xbar, anchor, l1, l2, f_x, step))
         return step
 
-    monkeypatch.setattr(slo_mod, "a_agp", logged)
-    prob, cfg = QuarticProblem(2), agp_config(max_epochs=3)
-    run_slo(prob, np.array([1.0, -0.5]), cfg)
-    assert calls
-    for xbar, anchor, l1, l2, f_x, (_, _, l1_out, l2_out) in calls:
-        r = np.linalg.norm(anchor) + 3 * cfg.radius_D
-        assert (l1, l2) == (prob.growth1(r), prob.growth2(r))
-        # the step is certified, and passes at the ball bounds without doubling either
-        assert f_x == prob.value(xbar) and (l1_out, l2_out) == (l1, l2)
+    def unexpected(*args, **kwargs):
+        raise AssertionError("agp estimated a constant")
+
+    monkeypatch.setattr(slo_mod, "a_agp", raised)
+    for name in ("estimate_l1", "estimate_l2"):
+        monkeypatch.setattr(slo_mod, name, unexpected)
+    prob = QuarticProblem(2)
+    run_slo(prob, np.array([0.3, 0.2]), agp_config(max_epochs=3))
+    assert calls[0][2:4] == (1.0, 1.0)
+    prev, firsts = (1.0, 1.0), []
+    for i, (xbar, anchor, l1, l2, f_x, (_, _, l1_out, l2_out)) in enumerate(calls):
+        if i > 0 and anchor is not calls[i - 1][1]:
+            # a new epoch halves the carried pair, floored at 1
+            prev = tuple(max(1.0, c / 2.0) for c in prev)
+            firsts.append(prev)
+        assert (l1, l2) == prev and f_x == prob.value(xbar)
+        prev = (l1_out, l2_out)
+    # epoch 2 ends at (12, 12), so epoch 3 starts from (6, 6)
+    assert firsts == [(1.0, 1.0), (6.0, 6.0)]
 
 
 @st.composite
