@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import METHODS, PROBLEMS, ExperimentSpec, run_experiment
@@ -63,15 +64,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    for method, stats in sorted(summary["methods"].items()):
-        print("%-12s best_grad=%.6e avg_grad=%.6e best_gap=%.6e avg_gap=%.6e"
-              % (method, stats["best_grad_norm"], stats["avg_grad_norm"],
-                 stats["best_f_gap"], stats["avg_f_gap"]))
-    for run_id in summary["diverged"]:
-        print(f"DIVERGED {run_id}")
-    for run_id, msg in sorted(summary.get("errors", {}).items()):
-        print(f"FAILED {run_id}: {msg}")
-    return 2 if summary.get("errors") else 0
+    with open(os.path.join(spec.output_dir, "summary.txt")) as fh:
+        sys.stdout.write(fh.read())
+    return 2 if summary["errors"] else 0
 
 
 if __name__ == "__main__":

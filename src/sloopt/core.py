@@ -221,7 +221,11 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
     After ``max_epochs`` closed epochs the final point is traced once more,
     as the first row of epoch ``max_epochs + 1``.
     """
-    counting = CountingOracle(oracle, max(1, max_grad_evals))  # the start is always traced
+    if not (max_grad_evals >= 1 and (time_budget_s is None or time_budget_s > 0)
+            and (max_iters is None or max_iters >= 0)):
+        raise ValueError("budgets must allow the start: max_grad_evals >= 1, "
+                         "time_budget_s > 0 and max_iters >= 0")
+    counting = CountingOracle(oracle, max_grad_evals)
     x = as_vector(x_start).copy()
     if x.size != oracle.dim:
         raise ValueError(f"x_start has {x.size} entries but the oracle's dimension is "

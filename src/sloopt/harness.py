@@ -215,8 +215,8 @@ def _write_summary(output_dir, summary):
     for m, stats in sorted(summary["methods"].items()):
         lines.append("%-12s %14.6e %14.6e %14.6e %14.6e"
                      % tuple([m] + [stats[c] for c in cols]))
-    lines += [f"DIVERGED {run_id}" for run_id in summary.get("diverged", [])]
-    for run_id, msg in sorted(summary.get("errors", {}).items()):
+    lines += [f"DIVERGED {run_id}" for run_id in summary["diverged"]]
+    for run_id, msg in sorted(summary["errors"].items()):
         lines.append(f"FAILED {run_id}: {msg}")
     with open(os.path.join(output_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

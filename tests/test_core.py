@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import sloopt.core
-from sloopt.baselines import gd_fixed
+from sloopt.baselines import BpgConfig, gd_fixed, run_bpg
 from sloopt.core import (CountingOracle, EvaluationError, SloConfig,
                          Subroutine, Termination, as_vector, check_finite,
                          finite_diff_gradient, norm)
@@ -164,3 +164,31 @@ def test_drive_rejects_a_start_of_another_length(method):
            "gd_fixed": lambda o, x: gd_fixed(o, x, 1e-3)}
     with pytest.raises(ValueError, match="x_start has 3 entries but the oracle's dimension is 50"):
         run[method](QuarticProblem(50), np.ones(3))
+
+
+@pytest.mark.parametrize("method", ["run_slo", "gd_fixed", "run_bpg"])
+def test_drive_rejects_a_budget_that_allows_no_start(method):
+    from sloopt.slo import run_slo
+
+    prob, x0 = QuarticProblem(2), np.array([1.0, 0.5])
+
+    def run(time_budget_s=None, max_grad_evals=1000, max_iters=500):
+        if method == "gd_fixed":
+            return gd_fixed(prob, x0, 0.01, stop_grad_tol=1e-6, max_iters=max_iters,
+                            max_grad_evals=max_grad_evals, time_budget_s=time_budget_s)
+        if method == "run_bpg":
+            return run_bpg(prob, x0, BpgConfig(4, 1.0, max_iters=max_iters),
+                           max_grad_evals=max_grad_evals, time_budget_s=time_budget_s)
+        cfg = SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP)
+        # set after construction, which rejects them too, so that drive's check is the one met
+        cfg.time_budget_s, cfg.max_total_grad_evals = time_budget_s, max_grad_evals
+        return run_slo(prob, x0, cfg)
+
+    bad = [{"time_budget_s": v} for v in (0.0, -1.0, math.nan)]
+    bad += [{"max_grad_evals": v} for v in (0, -1, math.nan)]
+    if method != "run_slo":  # run_slo bounds epochs, not steps
+        bad += [{"max_iters": v} for v in (-1, math.nan)]
+    for budgets in bad:
+        with pytest.raises(ValueError, match="budgets must allow the start"):
+            run(**budgets)
+    assert run(time_budget_s=1e-9, max_grad_evals=1, max_iters=0).trace

@@ -150,7 +150,9 @@ def test_failed_method_recorded_and_others_proceed(tmp_path, monkeypatch, capsys
     code = main(["--problem", "quartic", "--method", "ls,pgd", "--budget-evals", "200",
                  "--out", str(tmp_path / "cli")])
     assert code == 2
-    assert "FAILED ls/round1: RuntimeError: no step" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAILED ls/round1: RuntimeError: no step" in out
+    assert out == (tmp_path / "cli" / "summary.txt").read_text()
     assert os.path.exists(tmp_path / "cli" / "pgd_round01.csv")
 
 
@@ -189,7 +191,9 @@ def test_diverged_run_is_reported_not_summarized(tmp_path, capsys):
     assert "DIVERGED gd/round1" in (tmp_path / "api" / "summary.txt").read_text()
     code = main(["--problem", "supervised", "--method", "gd", "--out", str(tmp_path / "cli")])
     assert code == 0
-    assert "DIVERGED gd/round1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "DIVERGED gd/round1" in out
+    assert out == (tmp_path / "cli" / "summary.txt").read_text()
 
 
 def test_svg_chart_written_without_extra_csv(tmp_path):
@@ -246,6 +250,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "ls" in out and "best_grad" in out
+    assert out == (tmp_path / "summary.txt").read_text()
     assert os.path.exists(tmp_path / "ls_round01.csv")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sloopt.core import SloConfig, Subroutine, Termination
+from sloopt.core import SloConfig, Subroutine, Termination, epoch_geometry
 from sloopt.problems import (LinearNetProblem, QuarticProblem, generate_planted_labels,
                              generate_planted_tensor, uniform_init)
 from sloopt.slo import ContractViolation, check_epoch_descent, run_slo
@@ -417,6 +417,29 @@ def test_every_certified_gp_step_descends_inside_the_epoch_ball(instance, radius
         move = x_next - x
         assert prob.value(x) - prob.value(x_next) >= move.dot(move) / (2 * eta)
         assert np.linalg.norm(x_next - center) <= radius + 1e-12 * max(1.0, radius)
+    assert min(check_epoch_descent(res, cfg), default=0.0) >= -1e-10
+
+
+def _floor_instance(kind, seed):
+    if kind == "tensor":
+        return generate_planted_tensor(4, 3, 2, 0.5, 1.5, seed)[0]
+    if kind == "autoencoder":  # 3-2-3 on 10 samples
+        data = np.random.default_rng(seed).standard_normal((3, 10))
+        return LinearNetProblem(data, [(2, 3), (3, 2)], "autoencoder")
+    return QuarticProblem(5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(list(Subroutine)), st.sampled_from(["tensor", "autoencoder", "quartic"]),
+       st.integers(0, 2**16), st.sampled_from([0.1, 0.5, 1.0]), st.sampled_from([1e-4, 1e-6]),
+       st.sampled_from([0.01, 0.1, 0.5]))
+def test_every_subroutine_meets_its_epoch_floor(sub, kind, seed, c, eps, radius):
+    prob = _floor_instance(kind, seed)
+    D, d = epoch_geometry(sub, eps, radius, 0.0)
+    cfg = SloConfig(epsilon=eps, radius_D=D, margin_d=d, subroutine=sub, ls_delta_bar=D,
+                    max_total_grad_evals=20_000)
+    res = run_slo(prob, uniform_init(prob.dim, c, seed), cfg)
+    assert res.termination is not Termination.Diverged
     assert min(check_epoch_descent(res, cfg), default=0.0) >= -1e-10
 
 

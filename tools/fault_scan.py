@@ -1,16 +1,16 @@
-"""Regression scan for solver faults: ``pgd`` and ``agp`` on 60 small instances.
+"""Regression scan for solver faults: the four epoch solvers on 60 small instances.
 
     PYTHONPATH=src python3 tools/fault_scan.py
 
-``pgd`` and ``agp`` are the two methods that carry their step constants from
-one epoch to the next (``pgd`` only without analytic growth). One
-``run_experiment`` call (``methods=("pgd", "agp")``, ``epsilon=1e-6``,
-``radius=0.1``, every other field at its default) runs for each of seeds 0-11
-on five problems: the default ``supervised`` and ``autoencoder`` nets, the
-default ``tensor``, ``tensor`` at ``d=8, k=5, m=3`` and ``quartic`` at
-``quartic_dim=50``, where only ``agp`` carries its constants. The calls write
-into one temporary directory. The scan prints the failed runs per problem and
-exits 1 if any run recorded an error, else 0.
+``pgd``, ``ngd``, ``ls`` and ``agp`` are the ``run_slo`` methods; ``pgd``
+(without analytic growth) and ``agp`` carry their step constants from one
+epoch to the next. One ``run_experiment`` call (``methods=("pgd", "ngd",
+"ls", "agp")``, ``epsilon=1e-6``, ``radius=0.1``, every other field at its
+default) runs for each of seeds 0-11 on five problems: the default
+``supervised`` and ``autoencoder`` nets, the default ``tensor``, ``tensor`` at
+``d=8, k=5, m=3`` and ``quartic`` at ``quartic_dim=50``. The calls write into
+one temporary directory. The scan prints the failed runs per problem and exits
+1 if any run recorded an error, else 0.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ PROBLEMS = (
     ("quartic", {"quartic_dim": 50}),
 )
 SEEDS = range(12)
-METHODS = ("pgd", "agp")
+METHODS = ("pgd", "ngd", "ls", "agp")
 
 
 def main() -> int:
