@@ -81,21 +81,23 @@ class UpgOutcome:
             raise ValueError(f"invalid flag {self.flag}")
 
 
-def find_nc_pair(f_hat, x_hist, y_hist, w, alpha, x_grads=None):
+def find_nc_pair(f_hat, x_hist, y_hist, w, alpha, x_grads=None, y_values=None, w_value=None):
     """First witness that f_hat is not alpha-strongly convex above its tangents.
 
     Scans j ascending, trying u = y_hist[j] then u = w against v = x_hist[j];
-    returns (u, v) for the first strict violation, or None. A caller that has
-    f_hat's gradient at each x_hist[j] passes them in as x_grads.
+    returns (u, v) for the first strict violation, or None. A caller that holds
+    f_hat's gradients at x_hist, values at y_hist or value at w passes them in as
+    x_grads, y_values or w_value; an x_hist[j] that is y_hist[j] shares its value.
     """
     if len(x_hist) != len(y_hist):
         raise ValueError("x_hist and y_hist must have equal length")
     w = as_vector(w)
-    fw = f_hat.value(w)
+    fw = f_hat.value(w) if w_value is None else w_value
     for j, (xj, yj) in enumerate(zip(x_hist, y_hist)):
-        fxj = f_hat.value(xj)
+        fyj = f_hat.value(yj) if y_values is None else y_values[j]
+        fxj = fyj if xj is yj else f_hat.value(xj)
         gxj = f_hat.gradient(xj) if x_grads is None else x_grads[j]
-        for u, fu in ((yj, f_hat.value(yj)), (w, fw)):
+        for u, fu in ((yj, fyj), (w, fw)):
             gap = u - xj
             tangent = fxj + float(np.dot(gxj, gap)) + 0.5 * alpha * float(np.dot(gap, gap))
             if fu < tangent:
@@ -109,7 +111,8 @@ def _iter_bound(l1_hat, alpha, psi, eps_hat):
     return 1.0 + max(0.0, math.sqrt(l1_hat / alpha) * math.log(2.0 * l1_hat * psi / eps_hat))
 
 
-def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None) -> UpgOutcome:
+def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
+            f_y0=None) -> UpgOutcome:
     """Accelerated projected gradient loop that stops at one of five outcomes.
 
     Flags: 1 boundary exit with descent, 2 boundary exit with an NC pair,
@@ -117,8 +120,8 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None) 
     augmented gradient. A failed progress certificate gives the witness of
     flags 3 and 4: y0 if f_hat rose, else the projection of the gradient step z
     from yt if z leaves the interior, else z if the gradient is too large for t
-    accelerated iterations. f_hat is evaluated at y0 once, apart from the NC-pair
-    search; a caller that has f_hat's gradient at y0 passes it in.
+    accelerated iterations. The NC-pair search reuses the values and gradients
+    the loop holds; a caller that has f_hat's gradient or value at y0 passes it in.
     """
     y0 = as_vector(y0)
     if not region.is_interior(y0):
@@ -129,14 +132,14 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None) 
         raise ValueError("eps_hat must be positive")
     kappa = l1_hat / alpha
     omega = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    f_y0 = f_hat.value(y0)
+    f_y0 = f_hat.value(y0) if f_y0 is None else f_y0
     x_hist = [y0]
     y_hist = [y0]
     cap = 10_000  # refined from the theoretical bound at t = 1
     bound_at_exit = None
     t = 1
     g = f_hat.gradient(y0) if grad_y0 is None else grad_y0
-    x_grads = [g]  # the gradient at each x_hist[j], which the NC-pair search reuses
+    x_grads, y_values = [g], [f_y0]  # grad f_hat at each x_hist[j], f_hat at each y_hist[j]
     while True:
         y_tilde = x_hist[t - 1] - g / l1_hat
         check_finite(y_tilde, "accelerated iterate")
@@ -147,26 +150,28 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None) 
             y_hist.append(yt)
             if f_hat.value(yt) <= f_y0:
                 return UpgOutcome(1, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
-            flag, w, exit_kind = 2, y0, "boundary exit without descent"
+            flag, w, f_w, exit_kind = 2, y0, f_y0, "boundary exit without descent"
             break
         yt = y_hist[t]
         x_hist.append(yt + omega * (yt - y_hist[t - 1]))
         gy = f_hat.gradient(yt)
         f_yt = f_hat.value(yt)  # next to the gradient, so the base oracle's memo serves it
+        y_values.append(f_yt)
         z = yt - gy / l1_hat
         z_interior = region.is_interior(z)
         if z_interior:
             dz = z - y0
-            psi = f_y0 - f_hat.value(z) + 0.5 * alpha * float(np.dot(dz, dz))
+            f_z = f_hat.value(z)
+            psi = f_y0 - f_z + 0.5 * alpha * float(np.dot(dz, dz))
             bound_at_exit = _iter_bound(l1_hat, alpha, psi, eps_hat)
             if t == 1:
                 cap = max(10_000, int(10 * bound_at_exit) + 1)
         if f_yt > f_y0:
-            w = y0
+            w, f_w = y0, f_y0
         elif not z_interior:
-            w = region.project(z)
+            w, f_w = region.project(z), None
         elif float(np.dot(gy, gy)) > 2.0 * l1_hat * psi * math.exp(-t / math.sqrt(kappa)):
-            w = z
+            w, f_w = z, f_z
         elif norm(gy) <= math.sqrt(eps_hat):
             return UpgOutcome(5, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
         else:
@@ -184,7 +189,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None) 
         flag, exit_kind = 4, "progress certificate failed"
         break
     # flags 2 and 4: an NC pair among the iterates so far, tested against w
-    pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], w, alpha, x_grads)
+    pair = find_nc_pair(f_hat, x_hist[:t], y_hist[:t], w, alpha, x_grads, y_values, f_w)
     if pair is None:
         raise AgpError(f"{exit_kind} but no NC pair found; l1_hat is likely underestimated")
     return UpgOutcome(flag, nc_u=pair[0], nc_v=pair[1], y_history=[np.array(v) for v in y_hist],
@@ -218,32 +223,34 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
         tried = (l1, l2)
         alpha = 2.0 * math.sqrt(l2) * quarter
         f_hat = AugmentedOracle(oracle, xbar, alpha)
-        # f_hat's gradient at xbar, as AugmentedOracle.gradient computes it
+        # f_hat's gradient at xbar, as AugmentedOracle.gradient computes it; its value is f_x
         g0 = None if grad is None else grad + 2.0 * alpha * (xbar - xbar)
         try:
-            outcome = agp_upg(f_hat, region, xbar, epsilon / 100.0, l1 + 2.0 * alpha, alpha, g0)
+            outcome = agp_upg(f_hat, region, xbar, epsilon / 100.0, l1 + 2.0 * alpha, alpha, g0,
+                              f_x)
         except AgpError:  # no NC pair, or the iteration cap: l1 is too small
             if f_x is None:
                 raise
             l1 *= 2.0
             continue
         if outcome.flag in (1, 3, 5):
-            out, bound = outcome.point_p, f_x
+            out, bound, f_out = outcome.point_p, f_x, None
         else:
             u, v = outcome.nc_u, outcome.nc_v
             sep = u - v
             sep_norm = norm(sep)
             if sep_norm < 1e-15:
                 raise AgpError("degenerate NC pair (u == v); oracle inconsistency")
-            candidates_1 = outcome.y_history[1:outcome.iters_t] + [u]
-            b1 = min(candidates_1, key=oracle.value)
+            b1 = min(((oracle.value(c), c) for c in outcome.y_history[1:outcome.iters_t] + [u]),
+                     key=lambda vc: vc[0])  # (value, point) of the first least-valued point
             step = (alpha / (l2 * sep_norm)) * sep
-            b2 = min((u + step, u - step), key=oracle.value)
+            b2 = min(((oracle.value(c), c) for c in (u + step, u - step)), key=lambda vc: vc[0])
             bound = (oracle.value(xbar) if f_x is None else f_x) - alpha ** 3 / (64.0 * l2 * l2)
-            out = check_finite(np.array(b1 if oracle.value(b1) <= bound else b2), "a_agp output")
+            f_out, out = b1 if b1[0] <= bound else b2
+            out = check_finite(np.array(out), "a_agp output")
         if f_x is None:
             return out, outcome
-        if oracle.value(out) <= bound:
+        if (oracle.value(out) if f_out is None else f_out) <= bound:
             return out, outcome, l1, l2
         l1, l2 = (2.0 * l1, l2) if outcome.flag in (1, 3, 5) else (l1, 2.0 * l2)
     raise BacktrackBudgetError(tried, MAX_BACKTRACKS, "AGP certificate")

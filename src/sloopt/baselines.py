@@ -25,39 +25,32 @@ class BpgConfig:
 
 
 def bpg_subproblem(g, l_relative, n, eps0):
-    """Root of p'(rho) = -|g|^2 + L|g|^n rho^(n-1) + L|g|^2 rho by binary
-    search; returns the midpoint of the final bracket."""
-    g = as_vector(g)
-    gn = norm(g)
+    """Root of p'(rho) = -|g|^2 + L|g|^n rho^(n-1) + L|g|^2 rho by Newton's method
+    from above. p' is increasing and convex for rho > 0, so the iterates fall to the
+    root and stop a few ulps from it: within eps0/2 for any eps0 above that."""
+    gn = norm(as_vector(g))
     if gn == 0.0:
         raise ValueError("bpg_subproblem requires g != 0")
     L = float(l_relative)
-    # hoisted out of the bisection with the docstring formula's left-to-right
-    # product grouping, so each p'(rho) below is the same to the bit
     g2, lgn, lg2 = gn ** 2, L * gn ** n, L * gn ** 2
-    rho0, rho1, doublings = 0.0, 1.0, 0
-    while -g2 + lgn * rho1 ** (n - 1) + lg2 * rho1 < 0.0:
-        rho1 *= 2.0
-        doublings += 1
-        if doublings > 1000:
-            raise ArithmeticError("bpg_subproblem bracket expansion overflow")
-    while rho1 - rho0 > eps0:
-        mid = 0.5 * (rho0 + rho1)
-        if mid <= rho0 or mid >= rho1:
-            break  # bracket narrower than floating-point resolution
-        if -g2 + lgn * mid ** (n - 1) + lg2 * mid < 0.0:
-            rho0 = mid
-        else:
-            rho1 = mid
-    return 0.5 * (rho0 + rho1)
+    # each term alone reaches |g|^2 at its point, so the root lies in [rho/2, rho];
+    # where L|g|^n underflows to 0, the linear term alone sets the root
+    rho = g2 / lg2 if lgn == 0.0 else min(g2 / lg2, (g2 / lgn) ** (1.0 / (n - 1)))
+    for _ in range(100):
+        slope = (n - 1) * lgn * rho ** (n - 2) + lg2
+        lower = rho - (-g2 + lgn * rho ** (n - 1) + lg2 * rho) / slope
+        if not lower < rho:
+            return rho
+        rho = lower
+    raise ArithmeticError("bpg_subproblem Newton iteration did not converge")
 
 
-def bpg_step(oracle: ObjectiveOracle, x, config: BpgConfig):
+def bpg_step(oracle: ObjectiveOracle, x, config: BpgConfig, grad=None):
     x = as_vector(x)
     n, L = config.poly_degree_n, config.l_relative
     xn = norm(x)
     grad_h = (xn ** (n - 2) + 1.0) * x
-    g = oracle.gradient(x) - L * grad_h
+    g = (oracle.gradient(x) if grad is None else grad) - L * grad_h
     if not np.any(g):
         return np.zeros_like(x)
     rho = bpg_subproblem(g, L, n, 1e-16)
@@ -82,7 +75,7 @@ def run_bpg(oracle: ObjectiveOracle, x0, config: BpgConfig,
             max_grad_evals=1_000_000, time_budget_s=None) -> RunResult:
     """Bregman proximal gradient steps: one epoch that never closes."""
     def start_epoch(counting, anchor, tau):
-        return lambda x, g, f: (bpg_step(counting, x, config), False)
+        return lambda x, g, f: (bpg_step(counting, x, config, grad=g), False)
 
     return drive(oracle, x0, start_epoch, config.stop_grad_tol, max_grad_evals,
                  time_budget_s, max_iters=config.max_iters)

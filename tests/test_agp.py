@@ -129,6 +129,27 @@ def test_nc_pair_search_given_the_gradients_evaluates_none_and_finds_the_same_pa
     assert 0 < found < 50
 
 
+def test_nc_pair_search_given_the_values_evaluates_f_at_x_iterates_only():
+    rng = np.random.default_rng(4)
+    found = 0
+    for _ in range(50):
+        h = rng.standard_normal((3, 3))
+        f = CallLog(GeneralQuadratic(h + h.T + 2.0 * np.eye(3)))
+        x_hist, y_hist = (list(v) for v in rng.standard_normal((2, 4, 3)))
+        x_hist[0] = y_hist[0]  # as in agp_upg, where both start at y0
+        w, alpha = rng.standard_normal(3), rng.uniform(0.1, 2.0)
+        pair = find_nc_pair(f, x_hist, y_hist, w, alpha)
+        y_values, w_value = [f.base.value(y) for y in y_hist], f.base.value(w)
+        f.points.clear()
+        pair_v = find_nc_pair(f, x_hist, y_hist, w, alpha, None, y_values, w_value)
+        assert all(any(np.array_equal(p, x) for x in x_hist[1:]) for p in f.points)
+        assert (pair is None) == (pair_v is None)
+        if pair is not None:
+            found += 1
+            assert [v.tobytes() for v in pair] == [v.tobytes() for v in pair_v]
+    assert 0 < found < 50
+
+
 class Concave1D(ObjectiveOracle):
     dim = 1
 
@@ -226,9 +247,9 @@ def test_upg_witnesses_and_their_nc_pair_search(monkeypatch, f, radius, y0, l1_h
     f, y0, searches, search = CallLog(f), np.array(y0), [], agp_mod.find_nc_pair
 
     def logged(*args):
-        before = f.grads
+        before, seen = f.grads, len(f.points)
         pair = search(*args)
-        searches.append((args[3], f.grads - before))
+        searches.append((args[3], f.grads - before, f.points[seen:]))
         return pair
 
     monkeypatch.setattr(agp_mod, "find_nc_pair", logged)
@@ -236,9 +257,11 @@ def test_upg_witnesses_and_their_nc_pair_search(monkeypatch, f, radius, y0, l1_h
     assert out.flag == flag
     if flag in (2, 4):
         # y0 is the witness of an objective increase and of a boundary exit without
-        # descent, and the search reuses the loop's gradients at its iterates
+        # descent, and the search reuses the loop's gradients and values at its iterates
         assert out.iters_t > 1 and len(searches) == 1
         assert np.array_equal(searches[0][0], y0) and searches[0][1] == 0
+        assert not any(np.array_equal(p, y) for p in searches[0][2]
+                       for y in out.y_history[:out.iters_t])
     else:
         assert searches == []
     if flag == 3:  # the witness is the projection of z onto the boundary
@@ -296,6 +319,18 @@ def test_a_agp_nc_exploitation_descends_below_threshold():
         assert oracle.base.value(pt) <= oracle.base.value(xbar) + 1e-15
     else:
         assert out.flag in (1, 3, 5)
+
+
+def test_a_agp_given_f_x_reuses_the_values_it_holds():
+    # an NC step (flag 4, t = 5) certified at once: f is taken from f_x at xbar, and
+    # at the output only where the inner loop's f_hat and the candidate scan need it
+    eps, xbar, prob = 1e-4, np.array([0.001, 0.0]), NegQuadraticProblem(2)
+    oracle = CallLog(prob)
+    out, outcome, l1, l2 = a_agp(oracle, xbar, 1.0, 1.0, np.zeros(2), 1.0, eps,
+                                 f_x=prob.value(xbar))
+    assert (outcome.flag, l1, l2) == (4, 1.0, 1.0)
+    assert not any(np.array_equal(p, xbar) for p in oracle.points)
+    assert sum(np.array_equal(p, out) for p in oracle.points) <= 2
 
 
 class Poly1D(ObjectiveOracle):

@@ -1,11 +1,13 @@
-"""Regression scan for solver faults: the four epoch solvers on 60 small instances.
+"""Regression scan for solver faults: the four epoch solvers and ``bpg`` on 60 small instances.
 
     PYTHONPATH=src python3 tools/fault_scan.py
 
 ``pgd``, ``ngd``, ``ls`` and ``agp`` are the ``run_slo`` methods; ``pgd``
 (without analytic growth) and ``agp`` carry their step constants from one
-epoch to the next. One ``run_experiment`` call (``methods=("pgd", "ngd",
-"ls", "agp")``, ``epsilon=1e-6``, ``radius=0.1``, every other field at its
+epoch to the next. ``bpg`` is the Bregman proximal gradient baseline, whose
+scalar subproblem is solved by Newton's method. One ``run_experiment`` call
+(``methods=("pgd", "ngd", "ls", "agp", "bpg")``, ``epsilon=1e-6``,
+``radius=0.1``, ``bpg_n=10``, ``bpg_l=10.0``, every other field at its
 default) runs for each of seeds 0-11 on five problems: the default
 ``supervised`` and ``autoencoder`` nets, the default ``tensor``, ``tensor`` at
 ``d=8, k=5, m=3`` and ``quartic`` at ``quartic_dim=50``. The calls write into
@@ -28,7 +30,7 @@ PROBLEMS = (
     ("quartic", {"quartic_dim": 50}),
 )
 SEEDS = range(12)
-METHODS = ("pgd", "ngd", "ls", "agp")
+METHODS = ("pgd", "ngd", "ls", "agp", "bpg")
 
 
 def main() -> int:
@@ -38,8 +40,8 @@ def main() -> int:
             errors = []
             for seed in SEEDS:
                 spec = harness.ExperimentSpec(problem=problem, methods=METHODS, epsilon=1e-6,
-                                              radius=0.1, seed=seed, output_dir=tmp,
-                                              problem_params=dict(params))
+                                              radius=0.1, bpg_n=10, bpg_l=10.0, seed=seed,
+                                              output_dir=tmp, problem_params=dict(params))
                 errors += [(seed, run, msg)
                            for run, msg in harness.run_experiment(spec)["errors"].items()]
             runs = len(SEEDS) * len(METHODS)
