@@ -28,11 +28,13 @@ class AugmentedOracle(ObjectiveOracle):
         self.dim = base.dim
         self.anchor_xbar = as_vector(anchor_xbar)
         self.agp_alpha = float(agp_alpha)
+        self.base_value = (None, None)  # (x bytes, f(x)) of the latest value call
 
     def value(self, x):
         f = self.base.value(x)
+        self.base_value = (x.tobytes(), f)
         d = x - self.anchor_xbar
-        return f + self.agp_alpha * float(np.dot(d, d))
+        return f + self.agp_alpha * float(d.dot(d))
 
     def gradient(self, x):
         g = self.base.gradient(x)
@@ -99,7 +101,7 @@ def find_nc_pair(f_hat, x_hist, y_hist, w, alpha, x_grads=None, y_values=None, w
         gxj = f_hat.gradient(xj) if x_grads is None else x_grads[j]
         for u, fu in ((yj, fyj), (w, fw)):
             gap = u - xj
-            tangent = fxj + float(np.dot(gxj, gap)) + 0.5 * alpha * float(np.dot(gap, gap))
+            tangent = fxj + float(gxj.dot(gap)) + 0.5 * alpha * float(gap.dot(gap))
             if fu < tangent:
                 return np.array(u, dtype=float), np.array(xj, dtype=float)
     return None
@@ -162,7 +164,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
         if z_interior:
             dz = z - y0
             f_z = f_hat.value(z)
-            psi = f_y0 - f_z + 0.5 * alpha * float(np.dot(dz, dz))
+            psi = f_y0 - f_z + 0.5 * alpha * float(dz.dot(dz))
             bound_at_exit = _iter_bound(l1_hat, alpha, psi, eps_hat)
             if t == 1:
                 cap = max(10_000, int(10 * bound_at_exit) + 1)
@@ -170,7 +172,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
             w, f_w = y0, f_y0
         elif not z_interior:
             w, f_w = region.project(z), None
-        elif float(np.dot(gy, gy)) > 2.0 * l1_hat * psi * math.exp(-t / math.sqrt(kappa)):
+        elif float(gy.dot(gy)) > 2.0 * l1_hat * psi * math.exp(-t / math.sqrt(kappa)):
             w, f_w = z, f_z
         elif norm(gy) <= math.sqrt(eps_hat):
             return UpgOutcome(5, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
@@ -234,7 +236,8 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
             l1 *= 2.0
             continue
         if outcome.flag in (1, 3, 5):
-            out, bound, f_out = outcome.point_p, f_x, None
+            out, bound = outcome.point_p, f_x
+            f_out = f_hat.base_value[1] if f_hat.base_value[0] == out.tobytes() else None
         else:
             u, v = outcome.nc_u, outcome.nc_v
             sep = u - v

@@ -51,7 +51,7 @@ class ObjectiveOracle:
         key = v.tobytes()
         if v.ndim == 1 and key == self._memo[0]:
             return v, self._memo[1]
-        v = as_vector(v)
+        v = check_finite(v) if v.ndim == 1 else as_vector(v)
         out = compute(v)
         self._memo = (key, out)
         return v, out

@@ -116,7 +116,7 @@ class PlantedTensorProblem(SymTensorProblem):
 
     def _grams(self, x):
         xs = self._blocks(x)
-        return xs @ xs.T, xs @ self.components.T
+        return xs.dot(xs.T), xs.dot(self.components.T)
 
     def value(self, x):
         k, (gram, cross) = self.order_k, self._at(x, self._grams)[1]
@@ -125,7 +125,7 @@ class PlantedTensorProblem(SymTensorProblem):
     def gradient(self, x):
         x, (gram, cross) = self._at(x, self._grams)
         xs, k = self._blocks(x), self.order_k
-        g = gram ** (k - 1) @ xs - cross ** (k - 1) @ self.components
+        g = (gram ** (k - 1)).dot(xs) - (cross ** (k - 1)).dot(self.components)
         return (2.0 * k) * g.reshape(-1)
 
 
@@ -162,17 +162,16 @@ class LinearNetProblem(ObjectiveOracle):
             self.target = np.asarray(labels_Y, dtype=float)
             if self.target.shape != (self.layer_dims[-1][0], self.data_X.shape[1]):
                 raise ValueError("labels_Y shape does not match the network output")
-        self.dim = sum(r * c for r, c in self.layer_dims)
+        self._layout, self.dim = [], 0  # (start, stop, shape) of each W_i in the vector
+        for r, c in self.layer_dims:
+            self._layout.append((self.dim, self.dim + r * c, (r, c)))
+            self.dim += r * c
 
     def split(self, w: np.ndarray):
         """Views of W_1, ..., W_m in a vector that passed ``as_vector``."""
         if w.size != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {w.size}")
-        mats, pos = [], 0
-        for r, c in self.layer_dims:
-            mats.append(w[pos:pos + r * c].reshape(r, c))
-            pos += r * c
-        return mats
+        return [w[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     @staticmethod
     def flatten(mats) -> np.ndarray:
@@ -181,7 +180,7 @@ class LinearNetProblem(ObjectiveOracle):
     def _forward(self, w):
         acts = [self.data_X]  # a[i] = W_i ... W_1 X
         for m in self.split(w):
-            acts.append(m @ acts[-1])
+            acts.append(m.dot(acts[-1]))
         return acts
 
     def value(self, w):
@@ -190,13 +189,13 @@ class LinearNetProblem(ObjectiveOracle):
 
     def gradient(self, w):
         w, acts = self._at(w, self._forward)
-        g, end = np.empty(self.dim), self.dim
+        g = np.empty(self.dim)
         back = 2.0 * (acts[-1] - self.target)
-        for i, (r, c) in reversed(list(enumerate(self.layer_dims))):
-            g[end - r * c:end] = (back @ acts[i].T).reshape(-1)
-            if i:  # W_1^T @ back is never read
-                back = w[end - r * c:end].reshape(r, c).T @ back
-            end -= r * c
+        for i in range(len(self._layout) - 1, -1, -1):
+            start, stop, shape = self._layout[i]
+            back.dot(acts[i].T, out=g[start:stop].reshape(shape))
+            if i:  # W_1^T back is never read
+                back = w[start:stop].reshape(shape).T.dot(back)
         return g
 
 
@@ -254,7 +253,7 @@ class LinearProblem(ObjectiveOracle):
 
 
 def _squared_norm(x):
-    return float(np.dot(x, x))
+    return float(x.dot(x))
 
 
 class QuarticProblem(ObjectiveOracle):
@@ -309,9 +308,7 @@ def generate_planted_labels(layer_dims, data_X, seed):
         raise ValueError("layer_dims must list at least one layer")
     if dims[0][1] != data_X.shape[0]:
         raise ValueError("cols(W_1) must equal rows(data_X)")
-    mats = []
-    for r, c in dims:
-        mats.append(rng.standard_normal((r, c)))
+    mats = [rng.standard_normal(shape) for shape in dims]
     y = data_X
     for m in mats:
         y = m @ y

@@ -100,7 +100,7 @@ def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x
     if dnorm == 0.0:
         raise DirectionError("direction must be nonzero")
     g = oracle.gradient(x) if grad is None else grad
-    slope = float(np.dot(g, d))
+    slope = float(g.dot(d))
     gnorm = norm(g)
     bound = -params.alpha * gnorm * dnorm
     if slope > bound + 1e-12 * max(1.0, abs(bound)):

@@ -333,6 +333,18 @@ def test_a_agp_given_f_x_reuses_the_values_it_holds():
     assert sum(np.array_equal(p, out) for p in oracle.points) <= 2
 
 
+def test_a_agp_values_a_boundary_exit_once():
+    # a boundary exit with descent (flag 1) certified at once: the inner loop's f_hat
+    # valued the output last, and its certificate reuses that base value
+    eps, xbar, prob = 1e-6, np.array([0.01, 0.0]), NegQuadraticProblem(2)
+    oracle = CallLog(prob)
+    out, outcome, l1, l2 = a_agp(oracle, xbar, 1.0, 1.0, np.zeros(2), 0.1, eps,
+                                 f_x=prob.value(xbar))
+    assert (outcome.flag, l1, l2) == (1, 1.0, 1.0)
+    assert sum(np.array_equal(p, out) for p in oracle.points) == 1
+    assert prob.value(out) <= prob.value(xbar)
+
+
 class Poly1D(ObjectiveOracle):
     """f(x) = sum_i coef[i] x^i in one dimension."""
 

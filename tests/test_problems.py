@@ -203,3 +203,82 @@ def test_memo_answers_as_a_fresh_instance(name, seed, ops):
     check("value", last)
     for got, bits in answers:
         assert _bits(got) == bits
+
+
+def test_gradients_at_two_points_are_distinct_arrays():
+    """A gradient is a new array per call: a later call neither returns it again
+    nor writes into it (callers keep gradients and mark them read-only)."""
+    for name in sorted(MEMO_PROBLEMS):
+        prob = MEMO_PROBLEMS[name]()
+        x, y = np.random.default_rng(3).uniform(-1.5, 1.5, (2, prob.dim))
+        g = prob.gradient(x)
+        bits = g.tobytes()
+        h = prob.gradient(y)
+        assert not np.shares_memory(g, h), name
+        assert g.tobytes() == bits and h.tobytes() != bits, name
+
+
+def _net_reference(prob, w):
+    """Value and gradient of a LinearNetProblem as ``@`` products, the form the
+    oracle had before it used ``ndarray.dot``."""
+    mats, pos = [], 0
+    for r, c in prob.layer_dims:
+        mats.append(w[pos:pos + r * c].reshape(r, c))
+        pos += r * c
+    acts = [prob.data_X]
+    for m in mats:
+        acts.append(m @ acts[-1])
+    value = float(((prob.target - acts[-1]) ** 2).sum())
+    g, end = np.empty(prob.dim), prob.dim
+    back = 2.0 * (acts[-1] - prob.target)
+    for i, (r, c) in reversed(list(enumerate(prob.layer_dims))):
+        g[end - r * c:end] = (back @ acts[i].T).reshape(-1)
+        if i:
+            back = w[end - r * c:end].reshape(r, c).T @ back
+        end -= r * c
+    return value, g
+
+
+def _planted_reference(prob, x):
+    """Value and gradient of a PlantedTensorProblem as ``@`` products."""
+    xs, k, comps = x.reshape(prob.rank_m, prob.dim_d), prob.order_k, prob.components
+    gram, cross = xs @ xs.T, xs @ comps.T
+    const = float(np.sum((comps @ comps.T) ** k))
+    value = float((gram ** k).sum() - 2.0 * (cross ** k).sum() + const)
+    g = gram ** (k - 1) @ xs - cross ** (k - 1) @ comps
+    return value, (2.0 * k) * g.reshape(-1)
+
+
+def _assert_same_bits(prob, reference, points):
+    for x in points:  # value first, then gradient, as the memo serves them
+        value, grad = reference(prob, x.copy())
+        assert prob.value(x).hex() == value.hex()
+        assert prob.gradient(x).tobytes() == grad.tobytes()
+    for x in points:  # gradient first, on a fresh memo
+        value, grad = reference(prob, x.copy())
+        assert prob.gradient(x.copy()).tobytes() == grad.tobytes()
+        assert prob.value(x.copy()).hex() == value.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["autoencoder", "supervised"]),
+       st.lists(st.integers(1, 6), min_size=2, max_size=4), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+def test_net_oracle_bits_match_the_matmul_form(mode, widths, samples, seed):
+    if mode == "autoencoder":
+        widths[-1] = widths[0]
+    rng = np.random.default_rng(seed)
+    shapes = [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
+    X = rng.standard_normal((widths[0], samples))
+    Y = rng.standard_normal((widths[-1], samples)) if mode == "supervised" else None
+    prob = LinearNetProblem(X, shapes, mode, Y)
+    _assert_same_bits(prob, _net_reference, rng.uniform(-1.5, 1.5, (3, prob.dim)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(1, 8), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_planted_oracle_bits_match_the_matmul_form(k, d, m, seed):
+    prob, _ = generate_planted_tensor(d, k, min(m, d), 0.5, 1.5, seed)
+    points = np.random.default_rng(seed).uniform(-1.5, 1.5, (3, prob.dim))
+    _assert_same_bits(prob, _planted_reference, points)
