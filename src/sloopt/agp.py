@@ -28,11 +28,11 @@ class AugmentedOracle(ObjectiveOracle):
         self.dim = base.dim
         self.anchor_xbar = as_vector(anchor_xbar)
         self.agp_alpha = float(agp_alpha)
-        self.base_value = (None, None)  # (x bytes, f(x)) of the latest value call
+        self.base_values = ((None, None),) * 2  # (x bytes, f(x)) of the last two value calls
 
     def value(self, x):
         f = self.base.value(x)
-        self.base_value = (x.tobytes(), f)
+        self.base_values = (self.base_values[1], (x.tobytes(), f))
         d = x - self.anchor_xbar
         return f + self.agp_alpha * float(d.dot(d))
 
@@ -237,7 +237,7 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
             continue
         if outcome.flag in (1, 3, 5):
             out, bound = outcome.point_p, f_x
-            f_out = f_hat.base_value[1] if f_hat.base_value[0] == out.tobytes() else None
+            f_out = dict(f_hat.base_values).get(out.tobytes())  # flag 5: valued right before z
         else:
             u, v = outcome.nc_u, outcome.nc_v
             sep = u - v

@@ -65,7 +65,7 @@ def gd_fixed(oracle: ObjectiveOracle, x0, step, stop_grad_tol=1e-8,
         raise ValueError("step must be positive")
 
     def start_epoch(counting, anchor, tau):
-        return lambda x, g, f: (x - step * g, False)
+        return lambda x, g, f: (y := x - step * g, False, norm(y - anchor))
 
     return drive(oracle, x0, start_epoch, stop_grad_tol, max_grad_evals,
                  time_budget_s, max_iters=max_iters)
@@ -75,7 +75,8 @@ def run_bpg(oracle: ObjectiveOracle, x0, config: BpgConfig,
             max_grad_evals=1_000_000, time_budget_s=None) -> RunResult:
     """Bregman proximal gradient steps: one epoch that never closes."""
     def start_epoch(counting, anchor, tau):
-        return lambda x, g, f: (bpg_step(counting, x, config, grad=g), False)
+        return lambda x, g, f: (y := bpg_step(counting, x, config, grad=g), False,
+                                norm(y - anchor))
 
     return drive(oracle, x0, start_epoch, config.stop_grad_tol, max_grad_evals,
                  time_budget_s, max_iters=config.max_iters)

@@ -6,6 +6,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,8 @@ class CountingOracle(ObjectiveOracle):
 
     A one-entry memo makes repeated gradient queries at the same point
     free, so the solver loop and its subroutines do not double-charge.
-    Every caller gets the same memoized array, so it is returned read-only.
-    An evaluation past the cap raises ``_BudgetSpent`` instead of running.
+    Every caller gets the same memoized array, read-only, and its norm is
+    ``grad_norm``. An evaluation past the cap raises ``_BudgetSpent``.
     """
 
     def __init__(self, base: ObjectiveOracle, max_grad_evals: float = math.inf):
@@ -82,8 +83,7 @@ class CountingOracle(ObjectiveOracle):
         self.dim = base.dim
         self.growth1 = base.growth1
         self.growth2 = base.growth2
-        self.grad_evals = 0
-        self.value_evals = 0
+        self.grad_evals, self.value_evals, self.grad_norm = 0, 0, math.nan
 
     def value(self, x):
         self.value_evals += 1
@@ -95,10 +95,13 @@ class CountingOracle(ObjectiveOracle):
             return self._memo[1]
         if self.grad_evals >= self.max_grad_evals:
             raise _BudgetSpent
-        g = check_finite(self.base.gradient(x), "gradient")
+        g = self.base.gradient(x)
+        g_norm = math.sqrt(np.vdot(g, g))  # norm(g) bit for bit, without dot's overflow warning
+        if not math.isfinite(g_norm):  # a finite norm has only finite entries beneath it
+            check_finite(g, "gradient")
         g.setflags(write=False)
         self.grad_evals += 1
-        self._memo = (key, g)
+        self._memo, self.grad_norm = (key, g), g_norm
         return g
 
 
@@ -173,15 +176,15 @@ def epoch_geometry(sub: Subroutine, epsilon: float, radius: float, margin: float
     return max(radius, 3 * margin), margin
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
+    """One trace row, its fields in the order of the trace CSV's columns after ``round``."""
     epoch: int
     iter: int
+    cum_grad_evals: int
+    elapsed_s: float
     f_value: float
     grad_norm: float
     dist_from_anchor: float
-    cum_grad_evals: int
-    elapsed_s: float
 
 
 @dataclass
@@ -216,8 +219,9 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
     evaluation, time, iteration or epoch budget is spent, checked in that
     order; an evaluation past the gradient budget, a hard cap, ends the run
     at the last traced iterate. Epoch tau opens once its anchor's row passed
-    these tests: ``start_epoch(counting_oracle, anchor, tau)`` does the
-    epoch's set-up and returns its step ``(x, grad, f) -> (next x, closes)``.
+    these tests: ``start_epoch(counting_oracle, anchor, tau)`` does the epoch's set-up and
+    returns its step ``(x, grad, f) -> (next x, closes, ||next x - anchor||)``, whose
+    distance the next row records; the first row of an epoch records 0.0.
     After ``max_epochs`` closed epochs the final point is traced once more,
     as the first row of epoch ``max_epochs + 1``.
     """
@@ -238,18 +242,15 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
         while True:
             anchor = x.copy()
             step = None
-            k = 0
+            k, dist = 0, 0.0
             while True:
                 g = counting.gradient(x)
-                g_norm = norm(g)
+                g_norm = counting.grad_norm
                 f = counting.base.value(x)
                 traced = x
                 elapsed = time.monotonic() - t0  # one reading for the row and the budget
-                trace.append(IterationRecord(
-                    epoch=closed + 1, iter=k, f_value=f, grad_norm=g_norm,
-                    dist_from_anchor=norm(x - anchor),
-                    cum_grad_evals=counting.grad_evals, elapsed_s=elapsed,
-                ))
+                trace.append(IterationRecord(closed + 1, k, counting.grad_evals, elapsed, f,
+                                             g_norm, dist))
                 if g_norm < tol:
                     stop = Termination.GradientTolerance
                 elif not math.isfinite(f) or f - f_prev > 1e12:
@@ -269,7 +270,7 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                 if step is None:
                     step = start_epoch(counting, anchor, closed + 1)
                 f_prev = f
-                x, closes = step(x, g, f)
+                x, closes, dist = step(x, g, f)
                 steps += 1
                 k += 1
                 if closes:

@@ -129,11 +129,10 @@ METHODS = {"gd": _run_gd, "bpg": _run_bpg, "pgd": _run_slo(Subroutine.GP),
 
 def _write_csv(path, round_idx, trace):
     # the csv module's default dialect: no field needs quoting, and rows end in "\r\n"
+    row = "%d," % round_idx + "%d,%d,%d,%.6f,%.17g,%.17g,%.17g\r\n"  # the round, then a record
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.writelines("%d,%d,%d,%d,%.6f,%.17g,%.17g,%.17g\r\n" % (
-            round_idx, rec.epoch, rec.iter, rec.cum_grad_evals, rec.elapsed_s,
-            rec.f_value, rec.grad_norm, rec.dist_from_anchor) for rec in trace)
+        fh.writelines(row % rec for rec in trace)
 
 
 def run_experiment(spec: ExperimentSpec):

@@ -167,30 +167,28 @@ class LinearNetProblem(ObjectiveOracle):
             self._layout.append((self.dim, self.dim + r * c, (r, c)))
             self.dim += r * c
 
-    def split(self, w: np.ndarray):
-        """Views of W_1, ..., W_m in a vector that passed ``as_vector``."""
-        if w.size != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got {w.size}")
-        return [w[start:stop].reshape(shape) for start, stop, shape in self._layout]
-
     @staticmethod
     def flatten(mats) -> np.ndarray:
         return np.concatenate([np.asarray(m, dtype=float).reshape(-1) for m in mats])
 
     def _forward(self, w):
-        acts = [self.data_X]  # a[i] = W_i ... W_1 X
-        for m in self.split(w):
-            acts.append(m.dot(acts[-1]))
+        """[X, W_1 X, ..., W_m ... W_1 X, that product minus the target] at a valid w."""
+        if w.size != self.dim:
+            raise ValueError(f"expected dimension {self.dim}, got {w.size}")
+        acts = [self.data_X]
+        for start, stop, shape in self._layout:
+            acts.append(w[start:stop].reshape(shape).dot(acts[-1]))
+        acts.append(acts[-1] - self.target)
         return acts
 
     def value(self, w):
-        _, acts = self._at(w, self._forward)
-        return float(((self.target - acts[-1]) ** 2).sum())
+        r = self._at(w, self._forward)[1][-1]
+        return float(np.add.reduce(r ** 2, axis=None))
 
     def gradient(self, w):
         w, acts = self._at(w, self._forward)
         g = np.empty(self.dim)
-        back = 2.0 * (acts[-1] - self.target)
+        back = 2.0 * acts[-1]
         for i in range(len(self._layout) - 1, -1, -1):
             start, stop, shape = self._layout[i]
             back.dot(acts[i].T, out=g[start:stop].reshape(shape))

@@ -58,7 +58,7 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
                 raise ContractViolation(
                     f"subroutine produced a point at distance {dist:g} > D = {D:g}")
             # entering the margin shell closes the epoch
-            return x_next, dist >= D - d - slack
+            return x_next, dist >= D - d - slack, dist
         return step
 
     return drive(oracle, x_start, start_epoch, math.sqrt(config.epsilon),

@@ -110,6 +110,7 @@ def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x
     fx = oracle.value(x) if f_x is None else f_x
     for j in range(params.max_backtracks + 1):
         delta = params.delta_bar / dnorm if j == 0 else delta * params.theta
-        if oracle.value(x + delta * d) <= fx + params.sigma * delta * slope:
-            return check_finite(x + delta * d, "a_ls output"), delta, j
+        trial = x + delta * d
+        if oracle.value(trial) <= fx + params.sigma * delta * slope:
+            return check_finite(trial, "a_ls output"), delta, j
     raise BacktrackBudgetError(delta, params.max_backtracks)

@@ -345,6 +345,18 @@ def test_a_agp_values_a_boundary_exit_once():
     assert prob.value(out) <= prob.value(xbar)
 
 
+def test_a_agp_values_a_small_gradient_exit_once():
+    # a small-gradient exit (flag 5) after 12 accelerated iterations, certified at once:
+    # the inner loop valued the output and then z, and the certificate reuses the former
+    eps, xbar, prob = 1e-6, np.array([0.1, -0.2, 0.05]), QuarticProblem(3)
+    oracle = CallLog(prob)
+    out, outcome, l1, l2 = a_agp(oracle, xbar, 1.0, 1.0, np.zeros(3), 1.0, eps,
+                                 f_x=prob.value(xbar))
+    assert (outcome.flag, outcome.iters_t, l1, l2) == (5, 12, 1.0, 1.0)
+    assert sum(np.array_equal(p, out) for p in oracle.points) == 1
+    assert prob.value(out) <= prob.value(xbar)
+
+
 class Poly1D(ObjectiveOracle):
     """f(x) = sum_i coef[i] x^i in one dimension."""
 

@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import sloopt.core
 from sloopt.baselines import BpgConfig, gd_fixed, run_bpg
-from sloopt.core import (CountingOracle, EvaluationError, SloConfig,
+from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloConfig,
                          Subroutine, Termination, as_vector, check_finite,
-                         finite_diff_gradient, norm)
+                         epoch_geometry, finite_diff_gradient, norm)
 from sloopt.problems import QuadraticProblem, QuarticProblem
 
 
@@ -79,6 +79,81 @@ def test_counting_oracle_memo_is_read_only():
         g[0] = 5.0
     np.testing.assert_array_equal(oracle.gradient(x), [1.0, 2.0])
     assert oracle.grad_evals == 1
+
+
+class FixedGradient(ObjectiveOracle):
+    """An oracle whose gradient is a copy of ``g`` at every point."""
+
+    def __init__(self, g):
+        self.g, self.dim = np.asarray(g, dtype=float), len(g)
+
+    def gradient(self, x):
+        return self.g.copy()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_counting_oracle_checks_each_gradient_through_its_norm():
+    x = np.zeros(4)
+    # every entry finite, but the squared norm overflows: accepted, with an inf norm
+    oracle = CountingOracle(FixedGradient(np.full(4, 1e200)))
+    assert oracle.gradient(x)[0] == 1e200 and oracle.grad_norm == math.inf
+    rng = np.random.default_rng(0)
+    for scale in (1e-160, 1e-3, 1.0, 1e150):
+        g = rng.standard_normal(4) * scale
+        oracle = CountingOracle(FixedGradient(g))
+        oracle.gradient(x)
+        assert oracle.grad_norm.hex() == norm(g).hex()
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(4):
+            g = np.ones(4)
+            g[i] = bad
+            with pytest.raises(EvaluationError,
+                               match="^gradient contains NaN or infinite entries$"):
+                CountingOracle(FixedGradient(g)).gradient(x)
+
+
+class GradientLog(ObjectiveOracle):
+    """Passes calls to ``base`` and keeps a copy of every point where the gradient is asked."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.points = base, base.dim, []
+        self.growth1, self.growth2 = base.growth1, base.growth2
+
+    def value(self, x):
+        return self.base.value(x)
+
+    def gradient(self, x):
+        self.points.append(np.array(x))
+        return self.base.gradient(x)
+
+
+@pytest.mark.parametrize("method", ["gd", "bpg", "pgd", "ngd", "ls"])
+def test_trace_columns_are_the_norms_at_each_row_iterate(method):
+    # With analytic constants no method samples gradients, so the k-th base gradient
+    # point is the iterate of the rows whose cum_grad_evals is k.
+    from sloopt.slo import run_slo
+
+    prob = GradientLog(QuarticProblem(6))
+    x0 = np.random.default_rng(5).uniform(0.0, 0.5, 6)
+    if method == "gd":
+        res = gd_fixed(prob, x0, 0.3, stop_grad_tol=1e-3, max_iters=400)
+    elif method == "bpg":
+        res = run_bpg(prob, x0, BpgConfig(4, 1.0, max_iters=400, stop_grad_tol=1e-3))
+    else:
+        sub = {"pgd": Subroutine.GP, "ngd": Subroutine.NGD, "ls": Subroutine.LS}[method]
+        D, d = epoch_geometry(sub, 1e-6, 0.05, 0.01)
+        res = run_slo(prob, x0, SloConfig(epsilon=1e-6, radius_D=D, margin_d=d, subroutine=sub,
+                                          ls_delta_bar=D, max_total_grad_evals=400))
+        assert res.epochs_completed >= 3
+    assert len(prob.points) == res.grad_evals and len(res.trace) > 10
+    anchor = None
+    for rec in res.trace:
+        x = prob.points[rec.cum_grad_evals - 1]
+        if rec.iter == 0:
+            anchor = x
+        assert rec.f_value == prob.base.value(x)
+        assert rec.grad_norm.hex() == float(np.linalg.norm(prob.base.gradient(x))).hex()
+        assert rec.dist_from_anchor.hex() == float(np.linalg.norm(x - anchor)).hex()
 
 
 def test_finite_diff_matches_quadratic():

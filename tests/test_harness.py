@@ -125,6 +125,17 @@ def test_write_csv_bytes_equal_csv_writer(tmp_path):
     assert (tmp_path / "fast.csv").read_bytes() == expected
 
 
+def test_record_fields_follow_the_csv_columns():
+    # _write_csv formats a record positionally, so its fields must be the CSV's columns
+    assert [{"cum_grad_evals": "grad_evals"}.get(f, f) for f in IterationRecord._fields] \
+        == CSV_HEADER[1:]
+    rec = IterationRecord(elapsed_s=0.5, dist_from_anchor=0.25, grad_norm=2.0, f_value=3.0,
+                          cum_grad_evals=7, iter=1, epoch=2)
+    assert (rec.epoch, rec.iter, rec.cum_grad_evals, rec.elapsed_s, rec.f_value,
+            rec.grad_norm, rec.dist_from_anchor) == (2, 1, 7, 0.5, 3.0, 2.0, 0.25)
+    assert tuple(rec) == (2, 1, 7, 0.5, 3.0, 2.0, 0.25)
+
+
 def test_summarize_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad_round01.csv"
     with open(path, "w") as fh:
