@@ -28,11 +28,9 @@ class AugmentedOracle(ObjectiveOracle):
         self.dim = base.dim
         self.anchor_xbar = as_vector(anchor_xbar)
         self.agp_alpha = float(agp_alpha)
-        self.base_values = ((None, None),) * 2  # (x bytes, f(x)) of the last two value calls
 
     def value(self, x):
         f = self.base.value(x)
-        self.base_values = (self.base_values[1], (x.tobytes(), f))
         d = x - self.anchor_xbar
         return f + self.agp_alpha * float(d.dot(d))
 
@@ -168,7 +166,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
             bound_at_exit = _iter_bound(l1_hat, alpha, psi, eps_hat)
             if t == 1:
                 cap = max(10_000, int(10 * bound_at_exit) + 1)
-        if f_yt > f_y0:
+        if not f_yt <= f_y0:  # a NaN value routes like a rise
             w, f_w = y0, f_y0
         elif not z_interior:
             w, f_w = region.project(z), None
@@ -203,11 +201,11 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
     """One accelerated epoch step: regularize at xbar, run the inner loop,
     and convert NC pairs into descent via the curvature-exploiting probes.
 
-    The output always stays within radius_D of the epoch anchor. Given
-    ``f_x = f(xbar)``, the step is redone from xbar until it is certified,
-    and ``(out, outcome, l1, l2)`` is returned: l1 is doubled when the inner
-    loop raises AgpError or a flag-1/3/5 point has ``f(out) > f_x``, l2 when
-    a flag-2/4 point misses ``f_x - alpha^3 / (64 l2^2)``, and BacktrackBudgetError
+    The output always stays within radius_D of the epoch anchor. Given ``f_x = f(xbar)``,
+    the step is redone from xbar until it is certified, and ``(out, outcome, l1, l2)`` is
+    returned: l1 is doubled when the inner loop raises AgpError or a flag-3 point has
+    ``f(out) > f_x`` (a flag-1/5 point passed agp_upg's own test and costs no value call),
+    l2 when a flag-2/4 point misses ``f_x - alpha^3 / (64 l2^2)``, and BacktrackBudgetError
     follows MAX_BACKTRACKS doublings. Given ``grad`` at xbar, no trial evaluates it.
     """
     xbar = as_vector(xbar)
@@ -236,8 +234,7 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
             l1 *= 2.0
             continue
         if outcome.flag in (1, 3, 5):
-            out, bound = outcome.point_p, f_x
-            f_out = dict(f_hat.base_values).get(out.tobytes())  # flag 5: valued right before z
+            out, f_out, bound = outcome.point_p, None, f_x
         else:
             u, v = outcome.nc_u, outcome.nc_v
             sep = u - v
@@ -253,7 +250,8 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
             out = check_finite(np.array(out), "a_agp output")
         if f_x is None:
             return out, outcome
-        if (oracle.value(out) if f_out is None else f_out) <= bound:
+        # flags 1, 5: agp_upg tested f_hat(out) <= f_x, and f <= f_hat = f + alpha ||x - xbar||^2
+        if outcome.flag in (1, 5) or (oracle.value(out) if f_out is None else f_out) <= bound:
             return out, outcome, l1, l2
-        l1, l2 = (2.0 * l1, l2) if outcome.flag in (1, 3, 5) else (l1, 2.0 * l2)
+        l1, l2 = (2.0 * l1, l2) if outcome.flag == 3 else (l1, 2.0 * l2)
     raise BacktrackBudgetError(tried, MAX_BACKTRACKS, "AGP certificate")

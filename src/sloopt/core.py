@@ -141,10 +141,10 @@ class SloConfig:
 
     def __post_init__(self):
         sub = self.subroutine = Subroutine(self.subroutine)
-        if not self.epsilon > 0:
+        if not self.epsilon > 0:  # an infinite epsilon fails the geometry check below
             raise ValueError("epsilon must be positive")
-        if self.radius_D <= 0:
-            raise ValueError("radius_D must be positive")
+        if not 0 < self.radius_D < math.inf:
+            raise ValueError("radius_D must be positive and finite")
         if not (self.max_epochs > 0 and self.max_total_grad_evals > 0
                 and (self.time_budget_s is None or self.time_budget_s > 0)):
             raise ValueError("budgets must be positive")
@@ -161,7 +161,7 @@ def epoch_geometry(sub: Subroutine, epsilon: float, radius: float, margin: float
     """The epoch ball ``(radius_D, margin_d)`` of subroutine ``sub`` at tolerance
     ``epsilon``: the requested ``radius`` and ``margin`` where the paper's
     conditions allow them, else the nearest ball that meets them. ``SloConfig``
-    accepts exactly its fixed points, with ``radius_D`` up to 1e-12 short.
+    accepts exactly its finite fixed points, with ``radius_D`` up to 1e-12 short.
     """
     sub, root_eps = Subroutine(sub), math.sqrt(epsilon)
     if sub is Subroutine.GP:

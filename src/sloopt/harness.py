@@ -43,6 +43,8 @@ class ExperimentSpec:
             raise ValueError("budget_seconds must be positive")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if not all(map(math.isfinite, (self.epsilon, self.radius, self.margin))):
+            raise ValueError("epsilon, radius and margin must be finite")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -236,7 +238,7 @@ def write_svg(path, trace):
     }
     x_lo, x_hi = min(xs), max(xs)
     ys_all = [v for ys in series.values() for v in ys if math.isfinite(v)]
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    y_lo, y_hi = min(ys_all, default=0.0), max(ys_all, default=0.0)  # a diverged run has none
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

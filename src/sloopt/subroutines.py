@@ -75,12 +75,10 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_
 def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):
     """GD step when the gradient is small, else a step of length d along -grad."""
     x = as_vector(x)
-    if l1 < 1 or d <= 0:
-        raise ValueError("require l1 >= 1 and d > 0")
+    if not 1 <= l1 < np.inf or d <= 0:
+        raise ValueError("require a finite l1 >= 1 and d > 0")
     g = oracle.gradient(x) if grad is None else grad
     gnorm = norm(g)
-    if gnorm == 0.0:
-        return x.copy()
     if gnorm <= l1 * d:
         out = x - g / l1
     else:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sloopt.slo as slo_mod
 from sloopt import harness
@@ -10,7 +12,7 @@ from sloopt.agp import (AgpError, AgpRegion, AugmentedOracle, a_agp, agp_upg,
 from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloConfig,
                          Subroutine, Termination)
 from sloopt.problems import (NegQuadraticProblem, QuadraticProblem, QuarticProblem,
-                             uniform_init)
+                             generate_planted_tensor, uniform_init)
 from sloopt.subroutines import MAX_BACKTRACKS, BacktrackBudgetError
 
 
@@ -282,6 +284,53 @@ def test_upg_evaluates_f_hat_at_y0_once_per_call():
         assert sum(np.array_equal(p, y0) for p in f_hat.points) == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "quartic", "tensor"]), seed=st.integers(0, 2**16),
+       alpha=st.floats(0.01, 1.0), l1_excess=st.floats(0.0, 30.0), radius=st.floats(0.05, 1.0))
+def test_upg_descent_exits_never_raise_the_base_value(kind, seed, alpha, l1_excess, radius):
+    # the invariant that lets a_agp certify flags 1 and 5 without a value call: both
+    # exits tested f_hat(p) <= f_hat(y0), and f <= f_hat = f + alpha ||x - y0||^2
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":  # symmetric, often indefinite
+        h = rng.standard_normal((3, 3))
+        base = GeneralQuadratic(h + h.T)
+    elif kind == "quartic":
+        base = QuarticProblem(3)
+    else:
+        base, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, seed)
+    y0 = rng.uniform(-0.5, 0.5, base.dim)
+    center = y0 + rng.uniform(-0.5, 0.5, base.dim) * radius / math.sqrt(base.dim)
+    f_hat = AugmentedOracle(base, y0, alpha)
+    try:
+        out = agp_upg(f_hat, AgpRegion(center, radius), y0, 1e-6, alpha + l1_excess, alpha)
+    except AgpError:  # underestimated l1_hat; a_agp doubles it and retries
+        return
+    if out.flag in (1, 5):
+        assert base.value(out.point_p) <= base.value(y0)
+
+
+class NanAwayFromStart(ObjectiveOracle):
+    """0.5 ||x||^2 with the value NaN at every point but ``start``."""
+
+    def __init__(self, start):
+        self.start, self.dim = start, start.size
+
+    def value(self, x):
+        return 0.5 * float(x @ x) if np.array_equal(x, self.start) else math.nan
+
+    def gradient(self, x):
+        return np.array(x, dtype=float)
+
+
+def test_upg_routes_a_nan_value_like_a_rise():
+    # with finite values this start exits with flag 5 (test_upg_flag5_small_gradient);
+    # NaN at the accelerated iterates must not pass the descent test behind that flag
+    y0 = np.array([0.3, -0.2])
+    with pytest.raises(AgpError, match="progress certificate failed"):
+        agp_upg(NanAwayFromStart(y0), AgpRegion(np.zeros(2), 5.0), y0,
+                eps_hat=1e-6, l1_hat=1.0, alpha=0.5)
+
+
 def test_upg_rejects_exterior_start():
     with pytest.raises(ValueError):
         agp_upg(QuadraticProblem(1), AgpRegion(np.zeros(1), 0.5),
@@ -334,8 +383,8 @@ def test_a_agp_given_f_x_reuses_the_values_it_holds():
 
 
 def test_a_agp_values_a_boundary_exit_once():
-    # a boundary exit with descent (flag 1) certified at once: the inner loop's f_hat
-    # valued the output last, and its certificate reuses that base value
+    # a boundary exit with descent (flag 1) certified at once: the certificate is
+    # agp_upg's own test f_hat(out) <= f(xbar), so a_agp values the output no more
     eps, xbar, prob = 1e-6, np.array([0.01, 0.0]), NegQuadraticProblem(2)
     oracle = CallLog(prob)
     out, outcome, l1, l2 = a_agp(oracle, xbar, 1.0, 1.0, np.zeros(2), 0.1, eps,
@@ -347,7 +396,7 @@ def test_a_agp_values_a_boundary_exit_once():
 
 def test_a_agp_values_a_small_gradient_exit_once():
     # a small-gradient exit (flag 5) after 12 accelerated iterations, certified at once:
-    # the inner loop valued the output and then z, and the certificate reuses the former
+    # the certificate is agp_upg's own test f_hat(out) <= f(xbar), so a_agp values it no more
     eps, xbar, prob = 1e-6, np.array([0.1, -0.2, 0.05]), QuarticProblem(3)
     oracle = CallLog(prob)
     out, outcome, l1, l2 = a_agp(oracle, xbar, 1.0, 1.0, np.zeros(3), 1.0, eps,

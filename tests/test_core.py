@@ -203,6 +203,22 @@ def test_config_rejects_nonpositive_epsilon():
                   subroutine=Subroutine.GP)
 
 
+@pytest.mark.parametrize("sub", list(Subroutine))
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon", math.inf, "at epsilon inf rejects \\(radius_D, margin_d\\)"),
+    ("radius_D", math.inf, "radius_D must be positive and finite"),
+    ("radius_D", math.nan, "radius_D must be positive and finite"),
+    ("margin_d", math.inf, "rejects \\(radius_D, margin_d\\)")])
+def test_config_rejects_non_finite_settings(sub, field, value, message):
+    # with L1 = growth1(inf) = inf every NGD step stays put, and with epsilon = inf
+    # every run stops at its first row as converged
+    radius, margin = epoch_geometry(sub, 1e-6, 0.1, 0.0)
+    kw = dict(epsilon=1e-6, radius_D=radius, margin_d=margin, subroutine=sub, ls_delta_bar=radius)
+    SloConfig(**kw)
+    with pytest.raises(ValueError, match=message):
+        SloConfig(**{**kw, field: value})
+
+
 @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
 def test_config_rejects_a_time_budget_that_is_not_positive(budget):
     with pytest.raises(ValueError, match="budgets must be positive"):

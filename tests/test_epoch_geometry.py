@@ -106,7 +106,8 @@ def test_no_validation_gets_looser(eps):
 def test_epoch_geometry_is_a_valid_fixed_point(sub, log_eps, radius, margin):
     eps = 10.0 ** log_eps
     ball = epoch_geometry(sub, eps, radius, margin)
-    assert accepts(sub, eps, *ball, ball[0])
+    # an NGD margin above half the largest float overflows D, which SloConfig rejects
+    assert accepts(sub, eps, *ball, ball[0]) == math.isfinite(ball[0])
     assert epoch_geometry(sub, eps, *ball) == ball
 
 

@@ -218,6 +218,30 @@ def test_svg_chart_written_without_extra_csv(tmp_path):
     assert csvs == {"gd_round01.csv", "summary.csv"}
 
 
+def test_svg_chart_of_runs_without_a_finite_value(tmp_path):
+    # from 1e100 the quartic's value and gradient overflow at the start: both runs
+    # diverge at their first row, and each chart is written with empty series
+    spec = ExperimentSpec(problem="quartic", methods=("gd", "pgd"), init_c=1e100, svg=True,
+                          output_dir=str(tmp_path), problem_params={"quartic_dim": 50})
+    summary = run_experiment(spec)
+    assert summary["diverged"] == ["gd/round1", "pgd/round1"]
+    assert (tmp_path / "summary.txt").read_text().splitlines()[1:] == [
+        "DIVERGED gd/round1", "DIVERGED pgd/round1"]
+    for method in ("gd", "pgd"):
+        root = ET.parse(tmp_path / f"{method}_round01.svg").getroot()
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
+
+
+def test_ngd_run_whose_analytic_constant_overflows_fails_instead_of_stalling(tmp_path):
+    # growth1(1e200) = 3e400 overflows: a step with L1 = inf returns its start, which the
+    # gradient memo answers, so only the time budget would end the run
+    spec = ExperimentSpec(problem="quartic", methods=("ngd",), radius=1e200, init_c=1.0,
+                          budget_seconds=5.0, output_dir=str(tmp_path),
+                          problem_params={"quartic_dim": 5})
+    summary = run_experiment(spec)
+    assert summary["errors"] == {"ngd/round1": "ValueError: require a finite l1 >= 1 and d > 0"}
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(rounds=0)
@@ -332,9 +356,14 @@ CONFIG_FILES = {"layers.cfg": "net_layers = 6\n", "gd_step.cfg": "gd_step = -1\n
      "ValueError: poly_degree_n must be >= 2"),
     (["--problem", "quartic", "--method", "bpg,gd", "--config", "bpg_l.cfg"],
      "ValueError: l_relative must be positive"),
+    # ngd with a budget, so that a run these settings reach fails instead of hanging
+    *[(["--problem", "quartic", "--method", "ngd", "--budget-seconds", "5", flag, "inf"],
+       "ValueError: epsilon, radius and margin must be finite")
+      for flag in ("--epsilon", "--radius", "--margin")],
 ], ids=["net-one-width-autoencoder", "net-one-width-supervised", "epsilon", "budget-evals",
         "budget-seconds-zero", "budget-seconds-nan", "gd-step-negative", "gd-step-nan",
-        "bpg-missing-constants", "bpg-degree-one", "bpg-l-nan"])
+        "bpg-missing-constants", "bpg-degree-one", "bpg-l-nan", "epsilon-inf", "radius-inf",
+        "margin-inf"])
 def test_cli_reports_configuration_errors_before_any_run(tmp_path, capsys, args, message):
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)
