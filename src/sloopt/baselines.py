@@ -3,6 +3,7 @@ gradient with the polynomial adaptation h(x) = ||x||^n/n + ||x||^2/2."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ class BpgConfig:
     def __post_init__(self):
         if self.poly_degree_n < 2:
             raise ValueError("poly_degree_n must be >= 2")
-        if not self.l_relative > 0:
+        if not 0 < self.l_relative < math.inf:
             raise ValueError("l_relative must be positive")
 
 
@@ -61,7 +62,7 @@ def gd_fixed(oracle: ObjectiveOracle, x0, step, stop_grad_tol=1e-8,
              max_iters=100_000, max_grad_evals=1_000_000,
              time_budget_s=None) -> RunResult:
     """Plain x <- x - step * grad(x): one epoch that never closes."""
-    if step <= 0:
+    if not 0 < step < math.inf:
         raise ValueError("step must be positive")
 
     def start_epoch(counting, anchor, tau):

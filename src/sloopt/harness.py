@@ -17,7 +17,7 @@ CSV_HEADER = ["round", "epoch", "iter", "grad_evals", "elapsed_s",
               "f_value", "grad_norm", "dist_from_anchor"]
 
 
-@dataclass
+@dataclass(frozen=True)  # its runners are built from its settings once, in __post_init__
 class ExperimentSpec:
     problem: str = "quartic"
     methods: tuple = ("pgd",)
@@ -53,12 +53,7 @@ class ExperimentSpec:
         unread = self.problem_params.keys() - PROBLEMS[self.problem][1]
         if unread:
             raise ValueError(f"keys not read by problem {self.problem}: {sorted(unread)}")
-        if "gd" in self.methods and not self.gd_step > 0:
-            raise ValueError("gd_step must be positive")
-        if "bpg" in self.methods:
-            if self.bpg_n is None or self.bpg_l is None:
-                raise ValueError("bpg requires bpg_n and bpg_l")
-            baselines.BpgConfig(self.bpg_n, self.bpg_l)
+        object.__setattr__(self, "runners", {m: METHODS[m](self) for m in self.methods})
 
 
 def _tensor_problem(spec: ExperimentSpec, p: dict):
@@ -99,34 +94,38 @@ def build_problem(spec: ExperimentSpec):
     return build(spec, {**defaults, **spec.problem_params})
 
 
-def _run_gd(spec: ExperimentSpec, oracle, x0):
-    return baselines.gd_fixed(
+def _gd(spec: ExperimentSpec):
+    if not 0 < spec.gd_step < math.inf:
+        raise ValueError("gd_step must be positive")
+    return lambda oracle, x0: baselines.gd_fixed(
         oracle, x0, spec.gd_step, stop_grad_tol=math.sqrt(spec.epsilon),
         max_grad_evals=spec.budget_evals, time_budget_s=spec.budget_seconds)
 
 
-def _run_bpg(spec: ExperimentSpec, oracle, x0):
+def _bpg(spec: ExperimentSpec):
+    if spec.bpg_n is None or spec.bpg_l is None:
+        raise ValueError("bpg requires bpg_n and bpg_l")
     config = baselines.BpgConfig(spec.bpg_n, spec.bpg_l, stop_grad_tol=math.sqrt(spec.epsilon))
-    return baselines.run_bpg(oracle, x0, config, max_grad_evals=spec.budget_evals,
-                             time_budget_s=spec.budget_seconds)
+    return lambda oracle, x0: baselines.run_bpg(
+        oracle, x0, config, max_grad_evals=spec.budget_evals, time_budget_s=spec.budget_seconds)
 
 
-def _run_slo(sub: Subroutine):
-    """Runner of the epoch solver with subroutine ``sub``; the spec's radius
-    and margin are widened to the nearest valid epoch ball (``epoch_geometry``)."""
-    def run(spec: ExperimentSpec, oracle, x0):
+def _slo(sub: Subroutine):
+    """Builder of the epoch solver with subroutine ``sub``: it widens the spec's radius and margin
+    to the nearest valid epoch ball (``epoch_geometry``); ``SloConfig`` rejects an infinite one."""
+    def build(spec: ExperimentSpec):
         D, d = epoch_geometry(sub, spec.epsilon, spec.radius, spec.margin)
-        return slo.run_slo(oracle, x0, SloConfig(
-            epsilon=spec.epsilon, radius_D=D, margin_d=d, subroutine=sub, ls_delta_bar=D,
-            seed=spec.seed, max_total_grad_evals=spec.budget_evals,
-            time_budget_s=spec.budget_seconds))
-    return run
+        config = SloConfig(epsilon=spec.epsilon, radius_D=D, margin_d=d, subroutine=sub,
+                           ls_delta_bar=D, seed=spec.seed, max_total_grad_evals=spec.budget_evals,
+                           time_budget_s=spec.budget_seconds)
+        return lambda oracle, x0: slo.run_slo(oracle, x0, config)
+    return build
 
 
-# The method names: each maps (spec, oracle, x0) to a RunResult.
-METHODS = {"gd": _run_gd, "bpg": _run_bpg, "pgd": _run_slo(Subroutine.GP),
-           "ngd": _run_slo(Subroutine.NGD), "ls": _run_slo(Subroutine.LS),
-           "agp": _run_slo(Subroutine.AGP)}
+# The method names: each maps to a builder that checks a spec's settings once and returns its
+# runner(oracle, x0) -> RunResult, which finds its solver in the solver's module at call time.
+METHODS = {"gd": _gd, "bpg": _bpg, "pgd": _slo(Subroutine.GP), "ngd": _slo(Subroutine.NGD),
+           "ls": _slo(Subroutine.LS), "agp": _slo(Subroutine.AGP)}
 
 
 def _write_csv(path, round_idx, trace):
@@ -150,7 +149,7 @@ def run_experiment(spec: ExperimentSpec):
         for method in spec.methods:
             path = os.path.join(spec.output_dir, f"{method}_round{r:02d}.csv")
             try:
-                result = METHODS[method](spec, oracle, x0)
+                result = spec.runners[method](oracle, x0)
             except Exception as exc:  # record and move on
                 errors[(method, r)] = f"{type(exc).__name__}: {exc}"
                 continue

@@ -246,12 +246,15 @@ def test_run_bpg_reports_divergence_on_autoencoder(tmp_path, seed, rows):
 
 
 def test_gd_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        gd_fixed(QuadraticProblem(1), np.array([1.0]), 0.0)
+    # NaN and inf steps are rejected too, before the first row rather than at the second
+    for step in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^step must be positive$"):
+            gd_fixed(QuadraticProblem(1), np.array([1.0]), step)
 
 
 def test_bpg_config_validation():
     with pytest.raises(ValueError):
         BpgConfig(1, 1.0)
-    with pytest.raises(ValueError):
-        BpgConfig(4, -1.0)
+    for l_relative in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^l_relative must be positive$"):
+            BpgConfig(4, l_relative)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sloopt import slo
@@ -109,6 +109,37 @@ def test_epoch_geometry_is_a_valid_fixed_point(sub, log_eps, radius, margin):
     # an NGD margin above half the largest float overflows D, which SloConfig rejects
     assert accepts(sub, eps, *ball, ball[0]) == math.isfinite(ball[0])
     assert epoch_geometry(sub, eps, *ball) == ball
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=st.floats(0, exclude_min=True, allow_infinity=False),
+       radius=st.floats(allow_nan=False, allow_infinity=False),
+       margin=st.floats(0, allow_infinity=False))
+@example(eps=1e-6, radius=0.1, margin=1e308)
+@example(eps=1e-6, radius=0.1, margin=0.0)
+def test_spec_rejects_exactly_the_settings_whose_epoch_ball_overflows(eps, radius, margin):
+    subs = {"pgd": Subroutine.GP, "ngd": Subroutine.NGD, "ls": Subroutine.LS,
+            "agp": Subroutine.AGP}
+    finite = all(math.isfinite(epoch_geometry(sub, eps, radius, margin)[0])
+                 for sub in subs.values())
+    try:
+        ExperimentSpec(methods=tuple(subs), epsilon=eps, radius=radius, margin=margin)
+    except ValueError as exc:
+        assert not finite, exc
+        assert str(exc) == "radius_D must be positive and finite"
+    else:
+        assert finite
+
+
+def test_each_method_hands_one_config_to_every_round(tmp_path, monkeypatch):
+    configs, run_slo = [], slo.run_slo
+    monkeypatch.setattr(slo, "run_slo", lambda o, x, cfg: configs.append(cfg) or run_slo(o, x, cfg))
+    run_experiment(ExperimentSpec(problem="quartic", methods=("pgd", "ls"), rounds=3,
+                                  budget_evals=5, output_dir=str(tmp_path)))
+    # the runs alternate pgd, ls round by round
+    assert [cfg.subroutine for cfg in configs] == [Subroutine.GP, Subroutine.LS] * 3
+    for i in range(2):
+        assert all(cfg is configs[i] for cfg in configs[i::2])
 
 
 def test_epoch_geometry_keeps_a_valid_request():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import xml.etree.ElementTree as ET
@@ -146,10 +147,10 @@ def test_summarize_rejects_bad_schema(tmp_path):
 
 def test_failed_method_recorded_and_others_proceed(tmp_path, monkeypatch, capsys):
     # a method that raises at run time is recorded as failed; gd must still run
-    def fail(spec, oracle, x0):
+    def fail(oracle, x0):
         raise RuntimeError("no step")
 
-    monkeypatch.setitem(harness.METHODS, "bpg", fail)
+    monkeypatch.setitem(harness.METHODS, "bpg", lambda spec: fail)
     spec = ExperimentSpec(problem="quartic", methods=("bpg", "gd"), rounds=1,
                           init_c=1.5, budget_evals=20, gd_step=0.05, bpg_n=4, bpg_l=1.0,
                           output_dir=str(tmp_path / "api"))
@@ -157,7 +158,7 @@ def test_failed_method_recorded_and_others_proceed(tmp_path, monkeypatch, capsys
     assert summary["errors"] == {"bpg/round1": "RuntimeError: no step"}
     assert "gd" in summary["methods"]
     assert not os.path.exists(tmp_path / "api" / "bpg_round01.csv")
-    monkeypatch.setitem(harness.METHODS, "ls", fail)
+    monkeypatch.setitem(harness.METHODS, "ls", lambda spec: fail)
     code = main(["--problem", "quartic", "--method", "ls,pgd", "--budget-evals", "200",
                  "--out", str(tmp_path / "cli")])
     assert code == 2
@@ -165,6 +166,13 @@ def test_failed_method_recorded_and_others_proceed(tmp_path, monkeypatch, capsys
     assert "FAILED ls/round1: RuntimeError: no step" in out
     assert out == (tmp_path / "cli" / "summary.txt").read_text()
     assert os.path.exists(tmp_path / "cli" / "pgd_round01.csv")
+
+
+def test_spec_settings_cannot_change_after_its_runners_are_built():
+    # pgd's runner holds the SloConfig built from them, so a changed budget would reach gd only
+    spec = ExperimentSpec(methods=("pgd", "gd"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.budget_evals = 5
 
 
 def test_gp_descent_test_that_never_passes_is_a_failed_run(tmp_path, monkeypatch):
@@ -333,7 +341,8 @@ def test_cli_bad_flag_value(tmp_path, capsys):
 
 CONFIG_FILES = {"layers.cfg": "net_layers = 6\n", "gd_step.cfg": "gd_step = -1\n",
                 "gd_nan.cfg": "gd_step = nan\n", "bpg_n.cfg": "bpg_n = 1\nbpg_l = 1.0\n",
-                "bpg_l.cfg": "bpg_n = 4\nbpg_l = nan\n"}
+                "gd_inf.cfg": "gd_step = inf\n", "bpg_l.cfg": "bpg_n = 4\nbpg_l = nan\n",
+                "bpg_l_inf.cfg": "bpg_n = 4\nbpg_l = inf\n"}
 
 
 @pytest.mark.parametrize("args, message", [
@@ -350,20 +359,26 @@ CONFIG_FILES = {"layers.cfg": "net_layers = 6\n", "gd_step.cfg": "gd_step = -1\n
      "ValueError: budget_seconds must be positive"),
     (["--problem", "quartic", "--config", "gd_step.cfg"], "ValueError: gd_step must be positive"),
     (["--problem", "quartic", "--config", "gd_nan.cfg"], "ValueError: gd_step must be positive"),
+    (["--problem", "quartic", "--config", "gd_inf.cfg"], "ValueError: gd_step must be positive"),
     (["--problem", "quartic", "--method", "bpg,gd"],
      "ValueError: bpg requires bpg_n and bpg_l"),
     (["--problem", "quartic", "--method", "bpg,gd", "--config", "bpg_n.cfg"],
      "ValueError: poly_degree_n must be >= 2"),
     (["--problem", "quartic", "--method", "bpg,gd", "--config", "bpg_l.cfg"],
      "ValueError: l_relative must be positive"),
+    (["--problem", "quartic", "--method", "bpg,gd", "--config", "bpg_l_inf.cfg"],
+     "ValueError: l_relative must be positive"),
     # ngd with a budget, so that a run these settings reach fails instead of hanging
     *[(["--problem", "quartic", "--method", "ngd", "--budget-seconds", "5", flag, "inf"],
        "ValueError: epsilon, radius and margin must be finite")
       for flag in ("--epsilon", "--radius", "--margin")],
+    # a finite margin whose NGD epoch ball overflows: D = sqrt(eps)/2 + 2 * 1e308 = inf
+    (["--problem", "quartic", "--method", "ngd,pgd", "--budget-seconds", "5", "--margin", "1e308"],
+     "ValueError: radius_D must be positive and finite"),
 ], ids=["net-one-width-autoencoder", "net-one-width-supervised", "epsilon", "budget-evals",
         "budget-seconds-zero", "budget-seconds-nan", "gd-step-negative", "gd-step-nan",
-        "bpg-missing-constants", "bpg-degree-one", "bpg-l-nan", "epsilon-inf", "radius-inf",
-        "margin-inf"])
+        "gd-step-inf", "bpg-missing-constants", "bpg-degree-one", "bpg-l-nan", "bpg-l-inf",
+        "epsilon-inf", "radius-inf", "margin-inf", "margin-overflows-the-ball"])
 def test_cli_reports_configuration_errors_before_any_run(tmp_path, capsys, args, message):
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)
