@@ -209,16 +209,15 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
     follows MAX_BACKTRACKS doublings. Given ``grad`` at xbar, no trial evaluates it.
     """
     xbar = as_vector(xbar)
-    epoch_anchor = as_vector(epoch_anchor)
     quarter = epsilon ** 0.25
     inner_radius = radius_D - 2.0 * quarter
     if inner_radius <= 0:
         raise ValueError("radius_D must exceed 2*eps^(1/4)")
-    if norm(xbar - epoch_anchor) >= inner_radius:
+    region = AgpRegion(epoch_anchor, inner_radius)
+    if not region.is_interior(xbar):
         raise ValueError("xbar must lie strictly inside the inner region")
     if l1 < 1 or l2 < 1:
         raise ValueError("Lipschitz constants are floored at 1")
-    region = AgpRegion(epoch_anchor, inner_radius)
     for _ in range(MAX_BACKTRACKS + 1):
         tried = (l1, l2)
         alpha = 2.0 * math.sqrt(l2) * quarter
@@ -254,4 +253,4 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
         if outcome.flag in (1, 5) or (oracle.value(out) if f_out is None else f_out) <= bound:
             return out, outcome, l1, l2
         l1, l2 = (2.0 * l1, l2) if outcome.flag == 3 else (l1, 2.0 * l2)
-    raise BacktrackBudgetError(tried, MAX_BACKTRACKS, "AGP certificate")
+    raise BacktrackBudgetError(tried, "AGP certificate")

@@ -119,6 +119,7 @@ class Termination(enum.Enum):
     TimeBudget = "time_budget"
     IterationBudget = "iteration_budget"
     Diverged = "diverged"
+    Stalled = "stalled"
 
 
 @dataclass
@@ -214,16 +215,15 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
           max_epochs: int = 1, max_iters: int | None = None) -> RunResult:
     """The solver loop of every method: traced epochs of steps until a stop.
 
-    Every iterate gets a trace row. The run stops at ``||grad|| < tol``, on
-    divergence (non-finite f or a rise above 1e12), or when the gradient
-    evaluation, time, iteration or epoch budget is spent, checked in that
-    order; an evaluation past the gradient budget, a hard cap, ends the run
-    at the last traced iterate. Epoch tau opens once its anchor's row passed
-    these tests: ``start_epoch(counting_oracle, anchor, tau)`` does the epoch's set-up and
-    returns its step ``(x, grad, f) -> (next x, closes, ||next x - anchor||)``, whose
-    distance the next row records; the first row of an epoch records 0.0.
-    After ``max_epochs`` closed epochs the final point is traced once more,
-    as the first row of epoch ``max_epochs + 1``.
+    Every iterate gets a trace row. The run stops at ``||grad|| < tol``, on divergence
+    (non-finite f or a rise above 1e12), on a stall (a step that returned its input's bytes and
+    evaluated nothing), or when the gradient evaluation, time, iteration or epoch budget is
+    spent, checked in that order; an evaluation past the gradient budget, a hard cap, ends the
+    run at the last traced iterate. Epoch tau opens once its anchor's row passed these tests:
+    ``start_epoch(counting_oracle, anchor, tau)`` does the epoch's set-up and returns its step
+    ``(x, grad, f) -> (next x, closes, ||next x - anchor||)``, whose distance the next row
+    records; the first row of an epoch records 0.0. After ``max_epochs`` closed epochs the final
+    point is traced once more, as the first row of epoch ``max_epochs + 1``.
     """
     if not (max_grad_evals >= 1 and (time_budget_s is None or time_budget_s > 0)
             and (max_iters is None or max_iters >= 0)):
@@ -236,7 +236,7 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                          f"{oracle.dim}")
     t0 = time.monotonic()
     trace: list[IterationRecord] = []
-    f_prev = math.inf
+    f_prev, g_prev = math.inf, None
     steps = closed = 0
     try:
         while True:
@@ -255,6 +255,8 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                     stop = Termination.GradientTolerance
                 elif not math.isfinite(f) or f - f_prev > 1e12:
                     stop = Termination.Diverged
+                elif g is g_prev:  # the point of the last row, and nothing evaluated since
+                    stop = Termination.Stalled
                 elif counting.grad_evals >= max_grad_evals:
                     stop = Termination.EvalBudget
                 elif time_budget_s is not None and elapsed > time_budget_s:
@@ -269,7 +271,7 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                     return RunResult(x, g_norm, stop, trace, closed, counting.grad_evals)
                 if step is None:
                     step = start_epoch(counting, anchor, closed + 1)
-                f_prev = f
+                f_prev, g_prev = f, g
                 x, closes, dist = step(x, g, f)
                 steps += 1
                 k += 1

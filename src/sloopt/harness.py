@@ -99,13 +99,15 @@ def _gd(spec: ExperimentSpec):
         raise ValueError("gd_step must be positive")
     return lambda oracle, x0: baselines.gd_fixed(
         oracle, x0, spec.gd_step, stop_grad_tol=math.sqrt(spec.epsilon),
-        max_grad_evals=spec.budget_evals, time_budget_s=spec.budget_seconds)
+        max_iters=spec.budget_evals, max_grad_evals=spec.budget_evals,
+        time_budget_s=spec.budget_seconds)
 
 
 def _bpg(spec: ExperimentSpec):
     if spec.bpg_n is None or spec.bpg_l is None:
         raise ValueError("bpg requires bpg_n and bpg_l")
-    config = baselines.BpgConfig(spec.bpg_n, spec.bpg_l, stop_grad_tol=math.sqrt(spec.epsilon))
+    config = baselines.BpgConfig(spec.bpg_n, spec.bpg_l, max_iters=spec.budget_evals,
+                                 stop_grad_tol=math.sqrt(spec.epsilon))
     return lambda oracle, x0: baselines.run_bpg(
         oracle, x0, config, max_grad_evals=spec.budget_evals, time_budget_s=spec.budget_seconds)
 
@@ -117,13 +119,14 @@ def _slo(sub: Subroutine):
         D, d = epoch_geometry(sub, spec.epsilon, spec.radius, spec.margin)
         config = SloConfig(epsilon=spec.epsilon, radius_D=D, margin_d=d, subroutine=sub,
                            ls_delta_bar=D, seed=spec.seed, max_total_grad_evals=spec.budget_evals,
-                           time_budget_s=spec.budget_seconds)
+                           max_epochs=spec.budget_evals, time_budget_s=spec.budget_seconds)
         return lambda oracle, x0: slo.run_slo(oracle, x0, config)
     return build
 
 
 # The method names: each maps to a builder that checks a spec's settings once and returns its
 # runner(oracle, x0) -> RunResult, which finds its solver in the solver's module at call time.
+# budget_evals also caps the steps and epochs: each row after the first costs an evaluation.
 METHODS = {"gd": _gd, "bpg": _bpg, "pgd": _slo(Subroutine.GP), "ngd": _slo(Subroutine.NGD),
            "ls": _slo(Subroutine.LS), "agp": _slo(Subroutine.AGP)}
 

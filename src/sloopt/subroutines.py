@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import ObjectiveOracle, as_vector, check_finite, norm, project_ball
 
-MAX_BACKTRACKS = 200  # default cap on a_ls's backtracks; the fixed cap of a_gp and a_agp
+MAX_BACKTRACKS = 200  # the cap on failed tests of a_ls, a_gp and a_agp
 
 
 class DirectionError(ValueError):
@@ -19,13 +19,12 @@ class BacktrackBudgetError(RuntimeError):
     """A backtracking test (Armijo in a_ls, descent in a_gp, the certificates in a_agp)
     failed down to last_delta: the last stepsize tried, or a_agp's last (L1, L2)."""
 
-    def __init__(self, last_delta, n_backtracks, test="Armijo"):
-        self.last_delta = last_delta
-        self.n_backtracks = n_backtracks
+    def __init__(self, last_delta, test="Armijo"):
+        self.last_delta, self.n_backtracks = last_delta, MAX_BACKTRACKS
         last = ("(L1, L2) = ({:g}, {:g})".format(*last_delta) if isinstance(last_delta, tuple)
                 else f"stepsize {last_delta:g}")
         super().__init__(
-            f"{test} condition not met after {n_backtracks} backtracks "
+            f"{test} condition not met after {MAX_BACKTRACKS} backtracks "
             f"(last {last}); oracle likely inconsistent"
         )
 
@@ -36,13 +35,12 @@ class LsParams:
     theta: float = 0.5       # backtrack factor
     delta_bar: float = 1.0   # adaptive step-length cap
     alpha: float = 1.0       # gradient-related constant
-    max_backtracks: int = MAX_BACKTRACKS
 
     def __post_init__(self):
         if not (0 < self.sigma < 1 and 0 < self.theta < 1 and self.delta_bar > 0
-                and 0 < self.alpha <= 1 and self.max_backtracks >= 0):
-            raise ValueError("LsParams needs 0 < sigma < 1, 0 < theta < 1, delta_bar > 0, "
-                             f"0 < alpha <= 1 and max_backtracks >= 0; got {self}")
+                and 0 < self.alpha <= 1):
+            raise ValueError("LsParams needs 0 < sigma < 1, 0 < theta < 1, delta_bar > 0 "
+                             f"and 0 < alpha <= 1; got {self}")
 
 
 def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_x=None):
@@ -69,7 +67,7 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_
         if f_x - oracle.value(out) >= move.dot(move) / (2.0 * eta):
             return check_finite(out, "a_gp output"), eta
         eta /= 2.0
-    raise BacktrackBudgetError(2.0 * eta, MAX_BACKTRACKS, "descent")  # the last eta tried
+    raise BacktrackBudgetError(2.0 * eta, "descent")  # the last eta tried
 
 
 def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):
@@ -106,9 +104,9 @@ def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x
             f"<grad, d> = {slope:g} exceeds -alpha*||grad||*||d|| = {bound:g}"
         )
     fx = oracle.value(x) if f_x is None else f_x
-    for j in range(params.max_backtracks + 1):
+    for j in range(MAX_BACKTRACKS + 1):
         delta = params.delta_bar / dnorm if j == 0 else delta * params.theta
         trial = x + delta * d
         if oracle.value(trial) <= fx + params.sigma * delta * slope:
             return check_finite(trial, "a_ls output"), delta, j
-    raise BacktrackBudgetError(delta, params.max_backtracks)
+    raise BacktrackBudgetError(delta)

@@ -12,7 +12,7 @@ from sloopt.baselines import BpgConfig, gd_fixed, run_bpg
 from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloConfig,
                          Subroutine, Termination, as_vector, check_finite,
                          epoch_geometry, finite_diff_gradient, norm)
-from sloopt.problems import QuadraticProblem, QuarticProblem
+from sloopt.problems import LinearProblem, QuadraticProblem, QuarticProblem
 
 
 def test_as_vector_shapes():
@@ -283,3 +283,30 @@ def test_drive_rejects_a_budget_that_allows_no_start(method):
         with pytest.raises(ValueError, match="budgets must allow the start"):
             run(**budgets)
     assert run(time_budget_s=1e-9, max_grad_evals=1, max_iters=0).trace
+
+
+class SampledLinear(LinearProblem):
+    growth1 = growth2 = None  # no analytic bound: GP certifies its step and NGD samples L1
+
+
+@pytest.mark.parametrize("method, rows, evals", [
+    ("analytic GP", 2, 1), ("certified GP", 2, 1), ("sampled NGD", 3, 52), ("gd", 2, 1)])
+def test_a_step_that_returns_its_input_stalls_the_run(method, rows, evals):
+    # at 1e14 a step along the slope 1e-3 is below half an ulp, so x - eta * g has x's bits
+    # and the gradient memo answers the next row for free; the time budget is a backstop
+    from sloopt.slo import run_slo
+
+    x0 = np.array([1e14, 0.0])
+    if method == "gd":
+        res = gd_fixed(LinearProblem([1e-3, 0.0]), x0, 1e-3, stop_grad_tol=1e-4,
+                       time_budget_s=10.0)
+    else:
+        prob = (LinearProblem if method == "analytic GP" else SampledLinear)([1e-3, 0.0])
+        sub = Subroutine.NGD if method == "sampled NGD" else Subroutine.GP
+        D, d = epoch_geometry(sub, 1e-8, 0.1, 0.0)
+        res = run_slo(prob, x0, SloConfig(epsilon=1e-8, radius_D=D, margin_d=d, subroutine=sub,
+                                          time_budget_s=10.0))
+    # NGD's 50 sampled gradients displace the memo, so its second row pays once more
+    assert res.termination is Termination.Stalled
+    assert (len(res.trace), res.grad_evals) == (rows, evals)
+    assert [rec.f_value for rec in res.trace] == [1e11] * rows

@@ -6,10 +6,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sloopt import harness
+from sloopt import baselines, harness, problems
 from sloopt.cli import main, parse_config_file
-from sloopt.core import IterationRecord, ObjectiveOracle
+from sloopt.core import IterationRecord, ObjectiveOracle, Termination
 from sloopt.harness import (CSV_HEADER, ExperimentSpec, _write_csv,
                             build_problem, run_experiment, summarize)
 
@@ -241,13 +243,75 @@ def test_svg_chart_of_runs_without_a_finite_value(tmp_path):
 
 
 def test_ngd_run_whose_analytic_constant_overflows_fails_instead_of_stalling(tmp_path):
-    # growth1(1e200) = 3e400 overflows: a step with L1 = inf returns its start, which the
-    # gradient memo answers, so only the time budget would end the run
+    # growth1(1e200) = 3e400 overflows: a step with L1 = inf would return its start, which
+    # the gradient memo answers, so a_ng rejects the constant before the run stalls
     spec = ExperimentSpec(problem="quartic", methods=("ngd",), radius=1e200, init_c=1.0,
                           budget_seconds=5.0, output_dir=str(tmp_path),
                           problem_params={"quartic_dim": 5})
     summary = run_experiment(spec)
     assert summary["errors"] == {"ngd/round1": "ValueError: require a finite l1 >= 1 and d > 0"}
+
+
+def test_steps_below_half_an_ulp_stall_instead_of_spinning(tmp_path, capsys):
+    # at radius 1e10 the analytic L1 = 3(||x0|| + D)^2 is about 3e20, and gd's step is 1e-20:
+    # each step returns its start, which the gradient memo answers without an evaluation,
+    # so neither the evaluation budget nor the epoch ends these runs (budget_seconds is a
+    # backstop)
+    common = dict(problem="quartic", init_c=1.0, gd_step=1e-20, budget_seconds=10.0)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**common, "quartic_dim": 5}.items()))
+    assert main(["--config", str(cfg), "--method", "pgd,ngd,gd", "--radius", "1e10",
+                 "--out", str(tmp_path)]) == 0
+    for method in ("pgd", "ngd", "gd"):
+        rows = read_rows(tmp_path / f"{method}_round01.csv")[1:]
+        assert [row[CSV_HEADER.index("grad_evals")] for row in rows] == ["1", "1"]
+    # a stalled run is summarized like a budget stop
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == [
+        "method", "gd", "ngd", "pgd"]
+    spec = ExperimentSpec(methods=("pgd", "ngd", "gd"), radius=1e10, **common,
+                          problem_params={"quartic_dim": 5})
+    oracle, _ = build_problem(spec)
+    x0 = problems.uniform_init(oracle.dim, spec.init_c, spec.seed + 1)
+    assert {run(oracle, x0).termination for run in spec.runners.values()} == {Termination.Stalled}
+
+
+def test_harness_runs_stop_at_their_evaluation_budget_not_a_hidden_cap(monkeypatch):
+    spec = ExperimentSpec(problem="quartic", methods=("ngd", "gd", "bpg"), epsilon=1e-12,
+                          radius=1e-6, init_c=0.5, budget_evals=25_000, bpg_n=4, bpg_l=1.0,
+                          problem_params={"quartic_dim": 2})
+    oracle, _ = build_problem(spec)
+    x0 = problems.uniform_init(oracle.dim, spec.init_c, spec.seed + 1)
+    # SloConfig's default of 10,000 epochs ended this run at 20,001 evaluations
+    result = spec.runners["ngd"](oracle, x0)
+    assert (result.termination, result.grad_evals) == (Termination.EvalBudget, 25_000)
+    caps = {}
+    monkeypatch.setattr(baselines, "gd_fixed", lambda *a, **kw: caps.update(gd=kw["max_iters"]))
+    monkeypatch.setattr(baselines, "run_bpg",
+                        lambda oracle, x0, config, **kw: caps.update(bpg=config.max_iters))
+    spec.runners["gd"](oracle, x0)
+    spec.runners["bpg"](oracle, x0)
+    assert caps == {"gd": 25_000, "bpg": 25_000}
+
+
+# the problems of tools/fault_scan.py
+FAULT_SCAN_PROBLEMS = (("supervised", {}), ("autoencoder", {}), ("tensor", {}),
+                       ("tensor", {"tensor_d": 8, "tensor_k": 5, "tensor_m": 3}),
+                       ("quartic", {"quartic_dim": 50}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=st.sampled_from(FAULT_SCAN_PROBLEMS),
+       method=st.sampled_from(sorted(harness.METHODS)), seed=st.integers(0, 3))
+def test_every_row_after_the_first_costs_an_evaluation_unless_the_run_stalls(problem, method,
+                                                                            seed):
+    # what lets budget_evals cap a harness run's steps and epochs too
+    name, params = problem
+    spec = ExperimentSpec(problem=name, methods=(method,), epsilon=1e-6, radius=0.1, bpg_n=10,
+                          bpg_l=10.0, seed=seed, budget_evals=2_000, budget_seconds=10.0,
+                          problem_params=dict(params))
+    oracle, _ = build_problem(spec)
+    result = spec.runners[method](oracle, problems.uniform_init(oracle.dim, spec.init_c, seed + 1))
+    assert len(result.trace) <= result.grad_evals + (result.termination is Termination.Stalled)
 
 
 def test_spec_validation():

@@ -454,5 +454,5 @@ def test_ls_hands_a_ls_the_fixed_armijo_constants(monkeypatch):
                     subroutine=Subroutine.LS, ls_delta_bar=0.5)
     run_slo(QuarticProblem(1), np.array([1.0]), cfg)
     assert params
-    assert all(p == LsParams(sigma=0.9, theta=0.5, alpha=1.0, max_backtracks=200, delta_bar=0.5)
+    assert all(p == LsParams(sigma=0.9, theta=0.5, alpha=1.0, delta_bar=0.5)
                for p in params)

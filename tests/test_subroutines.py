@@ -123,7 +123,7 @@ def test_ls_rejects_insufficiently_aligned_direction():
         a_ls(p, np.array([1.0, 0.0]), np.array([-1.0, 1.0]), params)
 
 
-def test_ls_backtrack_budget_error():
+def test_ls_backtrack_budget_error(monkeypatch):
     class Stubborn(QuadraticProblem):
         def value(self, x):  # never below the Armijo line
             return float(x[0])
@@ -131,8 +131,8 @@ def test_ls_backtrack_budget_error():
         def gradient(self, x):
             return np.array([-1.0])
 
-    params = LsParams(sigma=0.9, theta=0.5, delta_bar=1.0, alpha=1.0,
-                      max_backtracks=10)
+    monkeypatch.setattr("sloopt.subroutines.MAX_BACKTRACKS", 10)
+    params = LsParams(sigma=0.9, theta=0.5, delta_bar=1.0, alpha=1.0)
     with pytest.raises(BacktrackBudgetError) as exc:
         a_ls(CountingOracle(Stubborn(1)), np.array([1.0]), np.array([1.0]),
              params)
@@ -146,14 +146,13 @@ def test_ls_zero_direction_rejected():
 
 @pytest.mark.parametrize("name, value", [
     ("sigma", 0.0), ("sigma", 1.0), ("sigma", float("nan")), ("theta", 0.0), ("theta", 1.0),
-    ("delta_bar", 0.0), ("delta_bar", -1.0), ("alpha", 0.0), ("alpha", 1.5),
-    ("max_backtracks", -1)])
+    ("delta_bar", 0.0), ("delta_bar", -1.0), ("alpha", 0.0), ("alpha", 1.5)])
 def test_ls_params_reject_constants_out_of_range(name, value):
     with pytest.raises(ValueError, match="LsParams needs"):
         LsParams(**{name: value})
 
 
 def test_ls_params_accept_the_closed_ends():
-    params = LsParams(sigma=0.1, alpha=1.0, max_backtracks=0)
+    params = LsParams(sigma=0.1, alpha=1.0)
     out, delta, backtracks = a_ls(quad(1), np.array([1.0]), np.array([-1.0]), params)
     assert (delta, backtracks) == (1.0, 0) and out[0] == 0.0
