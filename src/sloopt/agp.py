@@ -206,7 +206,8 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
     returned: l1 is doubled when the inner loop raises AgpError or a flag-3 point has
     ``f(out) > f_x`` (a flag-1/5 point passed agp_upg's own test and costs no value call),
     l2 when a flag-2/4 point misses ``f_x - alpha^3 / (64 l2^2)``, and BacktrackBudgetError
-    follows MAX_BACKTRACKS doublings. Given ``grad`` at xbar, no trial evaluates it.
+    follows MAX_BACKTRACKS doublings. Given ``grad`` at xbar, no trial evaluates it, and an
+    AgpError whose step ``xbar - grad / l1_hat`` equals xbar returns ``(xbar, None, l1, l2)``.
     """
     xbar = as_vector(xbar)
     quarter = epsilon ** 0.25
@@ -230,6 +231,8 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
         except AgpError:  # no NC pair, or the iteration cap: l1 is too small
             if f_x is None:
                 raise
+            if g0 is not None and np.array_equal(xbar - g0 / (l1 + 2.0 * alpha), xbar):
+                return xbar, None, l1, l2  # below resolution: drive ends the run stalled
             l1 *= 2.0
             continue
         if outcome.flag in (1, 3, 5):

@@ -45,6 +45,8 @@ class ExperimentSpec:
             raise ValueError("epsilon must be positive")
         if not all(map(math.isfinite, (self.epsilon, self.radius, self.margin))):
             raise ValueError("epsilon, radius and margin must be finite")
+        if not 0 <= self.init_c < math.inf:
+            raise ValueError("init_c must be finite and >= 0")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -29,9 +29,9 @@ def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -
 
     The analytic ``growth1`` bound when the oracle has one; otherwise the max of
     ``||grad(a) - grad(b)|| / ||a - b||`` over seeded pairs in the ball, floored at 1,
-    for ``n_samples + 1`` gradient evaluations: each point a pair needs is probed once,
-    the center first, so that a caller's one-entry gradient memo at the center still
-    serves it. A sampled value is a lower bound; callers apply a safety factor.
+    for ``n_samples + 1`` gradient evaluations: the center first, so that a caller's gradient
+    memo at the center still serves it, then each sample once in draw order, after pairs
+    closer than 1e-12 are dropped. A sampled value is a lower bound; callers apply a safety factor.
     """
     center = as_vector(center)
     if radius <= 0:
@@ -46,24 +46,15 @@ def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = radius * rng.uniform(0.0, 1.0, size=n_samples) ** (1.0 / center.size)
     points = [center, *(center + directions * radii[:, None])]
-    probed = {0: oracle.gradient(center)}
-    # disjoint sample pairs, then each sample paired with the center
-    pairs = [(i, i + 1) for i in range(1, n_samples, 2)]
-    pairs += [(i, 0) for i in range(1, n_samples + 1)]
-    best = 0.0
-    seen = False
-    for i, j in pairs:
-        dist = norm(points[i] - points[j])
-        if dist < 1e-12:
-            continue
-        seen = True
-        for k in (i, j):
-            if k not in probed:
-                probed[k] = oracle.gradient(points[k])
-        best = max(best, norm(probed[i] - probed[j]) / dist)
-    if not seen:
+    grads = [oracle.gradient(center)]
+    # disjoint sample pairs, then each sample with the center, less those closer than 1e-12
+    pairs = [(i, i + 1) for i in range(1, n_samples, 2)] + [(i, 0) for i in range(1, n_samples + 1)]
+    pairs = [(i, j, d) for i, j in pairs if (d := norm(points[i] - points[j])) >= 1e-12]
+    if not pairs:
         raise EstimationError("all sampled pairs degenerate")
-    return LipschitzEstimate(max(1.0, best), "sampled")
+    grads += map(oracle.gradient, points[1:])
+    ratios = (norm(grads[i] - grads[j]) / d for i, j, d in pairs)
+    return LipschitzEstimate(max(1.0, *ratios), "sampled")
 
 
 def estimate_l2(oracle: ObjectiveOracle, center, radius) -> LipschitzEstimate:

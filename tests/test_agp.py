@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import sloopt.slo as slo_mod
 from sloopt import harness
-from sloopt.agp import (AgpError, AgpRegion, AugmentedOracle, a_agp, agp_upg,
+from sloopt.agp import (AgpError, AgpRegion, AugmentedOracle, UpgOutcome, a_agp, agp_upg,
                         find_nc_pair)
 from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloConfig,
                          Subroutine, Termination)
-from sloopt.problems import (NegQuadraticProblem, QuadraticProblem, QuarticProblem,
-                             generate_planted_tensor, uniform_init)
+from sloopt.problems import (LinearProblem, NegQuadraticProblem, QuadraticProblem,
+                             QuarticProblem, generate_planted_tensor, uniform_init)
 from sloopt.subroutines import MAX_BACKTRACKS, BacktrackBudgetError
 
 
@@ -525,3 +525,52 @@ def test_agp_certification_gives_up_after_max_backtracks_doublings():
     # no step descends, so every inner loop ends without an NC pair and L1 doubles
     assert err.value.last_delta == (2.0 ** MAX_BACKTRACKS, 1.0)
     assert err.value.n_backtracks == MAX_BACKTRACKS and "AGP certificate" in str(err.value)
+
+
+_X2 = np.zeros(2)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: AugmentedOracle(QuadraticProblem(2), _X2, 0.0), ValueError,
+     "agp_alpha must be positive"),
+    (lambda: AgpRegion(_X2, 0.0), ValueError, "inner_radius must be positive"),
+    (lambda: UpgOutcome(0), ValueError, "invalid flag 0"),
+    (lambda: find_nc_pair(QuadraticProblem(2), [_X2], [], _X2, 1.0), ValueError,
+     "x_hist and y_hist must have equal length"),
+    (lambda: agp_upg(QuadraticProblem(2), AgpRegion(_X2, 1.0), _X2, 1e-4, 0.5, 1.0), ValueError,
+     "require l1_hat >= alpha > 0"),
+    (lambda: agp_upg(QuadraticProblem(2), AgpRegion(_X2, 1.0), _X2, 0.0, 2.0, 1.0), ValueError,
+     "eps_hat must be positive"),
+    # a linear f_hat is never alpha-strongly convex: its certificate holds at every t, the
+    # gradient never falls below sqrt(eps_hat), and the path stays inside the region
+    (lambda: agp_upg(LinearProblem([1.01, 0.0]), AgpRegion(_X2, 1e6), _X2, 1.0, 1e6, 1.0),
+     AgpError, "accelerated loop exceeded the safety cap of 14072 iterations; "
+     "the Lipschitz estimates are inconsistent with the objective"),
+    (lambda: a_agp(QuadraticProblem(2), _X2, 1.0, 1.0, _X2, 0.02, 1e-8), ValueError,
+     "radius_D must exceed 2*eps^(1/4)"),
+    (lambda: a_agp(QuadraticProblem(2), np.array([0.08, 0.0]), 1.0, 1.0, _X2, 0.1, 1e-8),
+     ValueError, "xbar must lie strictly inside the inner region"),
+    (lambda: a_agp(QuadraticProblem(2), _X2, 0.5, 1.0, _X2, 0.1, 1e-8), ValueError,
+     "Lipschitz constants are floored at 1"),
+    # without f_x no step is certified, so an AgpError is the caller's: here a step below
+    # resolution leaves the certificate failed with no NC pair among the iterates
+    (lambda: a_agp(LinearProblem([1e-3, 0.0]), np.array([1e14, 0.0]), 1.0, 1.0,
+                   np.array([1e14, 0.0]), 0.1, 1e-8),
+     AgpError, "progress certificate failed but no NC pair found; l1_hat is likely underestimated"),
+], ids=["agp-alpha", "inner-radius", "flag", "history-lengths", "l1-hat-below-alpha", "eps-hat",
+        "iteration-cap", "radius-D", "xbar-outside", "constants-below-one",
+        "uncertified-agp-error"])
+def test_agp_rejections_name_their_cause(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_agp_rejects_a_degenerate_nc_pair(monkeypatch):
+    # a deterministic oracle never yields one: u == v gives the tangent at v its own value, which
+    # is no strict violation, so an inner loop that returns one is stood in for
+    x = np.array([0.01, 0.0])
+    monkeypatch.setattr("sloopt.agp.agp_upg", lambda *args: UpgOutcome(
+        4, nc_u=x.copy(), nc_v=x.copy(), y_history=[x.copy()], iters_t=1))
+    with pytest.raises(AgpError, match=r"^degenerate NC pair \(u == v\); oracle inconsistency$"):
+        a_agp(QuadraticProblem(2), x, 1.0, 1.0, _X2, 0.1, 1e-8)

@@ -162,6 +162,18 @@ def test_finite_diff_matches_quadratic():
     np.testing.assert_allclose(finite_diff_gradient(p, x, 1e-6), x, atol=1e-8)
 
 
+@pytest.mark.parametrize("x, h, exc, message", [
+    ([1.0], 0.0, ValueError, "h must be positive"),
+    ([1.0], -1e-6, ValueError, "h must be positive"),
+    # (x +- h)^4 / 4 overflows to inf in Python floats, without a RuntimeWarning
+    ([1e100], 1.0, EvaluationError, "non-finite function value probing coordinate 0"),
+], ids=["h-zero", "h-negative", "overflowing-probe"])
+def test_finite_diff_gradient_rejections_name_their_cause(x, h, exc, message):
+    with pytest.raises(exc) as info:
+        finite_diff_gradient(QuarticProblem(1), np.array(x), h)
+    assert str(info.value) == message
+
+
 def test_config_gp_requires_zero_margin():
     with pytest.raises(ValueError):
         SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.01,
@@ -290,7 +302,8 @@ class SampledLinear(LinearProblem):
 
 
 @pytest.mark.parametrize("method, rows, evals", [
-    ("analytic GP", 2, 1), ("certified GP", 2, 1), ("sampled NGD", 3, 52), ("gd", 2, 1)])
+    ("analytic GP", 2, 1), ("certified GP", 2, 1), ("sampled NGD", 3, 52), ("AGP", 2, 1),
+    ("gd", 2, 1)])
 def test_a_step_that_returns_its_input_stalls_the_run(method, rows, evals):
     # at 1e14 a step along the slope 1e-3 is below half an ulp, so x - eta * g has x's bits
     # and the gradient memo answers the next row for free; the time budget is a backstop
@@ -302,7 +315,7 @@ def test_a_step_that_returns_its_input_stalls_the_run(method, rows, evals):
                        time_budget_s=10.0)
     else:
         prob = (LinearProblem if method == "analytic GP" else SampledLinear)([1e-3, 0.0])
-        sub = Subroutine.NGD if method == "sampled NGD" else Subroutine.GP
+        sub = {"sampled NGD": Subroutine.NGD, "AGP": Subroutine.AGP}.get(method, Subroutine.GP)
         D, d = epoch_geometry(sub, 1e-8, 0.1, 0.0)
         res = run_slo(prob, x0, SloConfig(epsilon=1e-8, radius_D=D, margin_d=d, subroutine=sub,
                                           time_budget_s=10.0))

@@ -147,6 +147,20 @@ def test_summarize_rejects_bad_schema(tmp_path):
         summarize([str(path)])
 
 
+@pytest.mark.parametrize("name, text, read, message", [
+    ("bad.cfg", "problem = quartic\nrounds 2\n", parse_config_file,
+     "{path}:2: expected key=value, got 'rounds 2\\n'"),
+    ("gd_round01.csv", ",".join(CSV_HEADER) + "\r\n", lambda path: summarize([path]),
+     "{path}: no records"),
+], ids=["config-line-without-equals", "csv-without-rows"])
+def test_file_rejections_name_the_file_and_cause(tmp_path, name, text, read, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read(str(path))
+    assert str(info.value) == message.format(path=path)
+
+
 def test_failed_method_recorded_and_others_proceed(tmp_path, monkeypatch, capsys):
     # a method that raises at run time is recorded as failed; gd must still run
     def fail(oracle, x0):
@@ -406,7 +420,8 @@ def test_cli_bad_flag_value(tmp_path, capsys):
 CONFIG_FILES = {"layers.cfg": "net_layers = 6\n", "gd_step.cfg": "gd_step = -1\n",
                 "gd_nan.cfg": "gd_step = nan\n", "bpg_n.cfg": "bpg_n = 1\nbpg_l = 1.0\n",
                 "gd_inf.cfg": "gd_step = inf\n", "bpg_l.cfg": "bpg_n = 4\nbpg_l = nan\n",
-                "bpg_l_inf.cfg": "bpg_n = 4\nbpg_l = inf\n"}
+                "bpg_l_inf.cfg": "bpg_n = 4\nbpg_l = inf\n", "init_nan.cfg": "init_c = nan\n",
+                "init_inf.cfg": "init_c = inf\n", "init_negative.cfg": "init_c = -1\n"}
 
 
 @pytest.mark.parametrize("args, message", [
@@ -439,10 +454,13 @@ CONFIG_FILES = {"layers.cfg": "net_layers = 6\n", "gd_step.cfg": "gd_step = -1\n
     # a finite margin whose NGD epoch ball overflows: D = sqrt(eps)/2 + 2 * 1e308 = inf
     (["--problem", "quartic", "--method", "ngd,pgd", "--budget-seconds", "5", "--margin", "1e308"],
      "ValueError: radius_D must be positive and finite"),
+    *[(["--problem", "quartic", "--config", name], "ValueError: init_c must be finite and >= 0")
+      for name in ("init_nan.cfg", "init_inf.cfg", "init_negative.cfg")],
 ], ids=["net-one-width-autoencoder", "net-one-width-supervised", "epsilon", "budget-evals",
         "budget-seconds-zero", "budget-seconds-nan", "gd-step-negative", "gd-step-nan",
         "gd-step-inf", "bpg-missing-constants", "bpg-degree-one", "bpg-l-nan", "bpg-l-inf",
-        "epsilon-inf", "radius-inf", "margin-inf", "margin-overflows-the-ball"])
+        "epsilon-inf", "radius-inf", "margin-inf", "margin-overflows-the-ball", "init-c-nan",
+        "init-c-inf", "init-c-negative"])
 def test_cli_reports_configuration_errors_before_any_run(tmp_path, capsys, args, message):
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)

@@ -66,6 +66,17 @@ def test_constant_gradient_floors_at_one():
     assert est.value == 1.0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: estimate_l1(_NoGrowthQuadratic(2), np.zeros(2), 1.0, n_samples=1),
+     "need at least 2 samples without analytic growth"),
+    (lambda: estimate_l2(QuarticProblem(2), np.zeros(2), 0.0), "radius must be positive"),
+], ids=["one-sample", "l2-radius-zero"])
+def test_lipschitz_rejections_name_their_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_degenerate_radius_rejected():
     p = QuadraticProblem(2)
     with pytest.raises((ValueError, EstimationError)):

@@ -111,6 +111,39 @@ def test_net_rejects_incompatible_shapes():
         LinearNetProblem(X, [(3, 4), (4, 2)], "autoencoder")
 
 
+_X = np.zeros((2, 5))  # data with 2 features and 5 samples
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tensor_from_components([[1.0, 0.0]], 0), "order_k must be >= 1"),
+    (lambda: tensor_from_components([[1.0, 0.0], [1.0, 0.0, 0.0]], 3),
+     "all components must share the same dimension"),
+    (lambda: SymTensorProblem(np.zeros((2, 3, 2)), 1), "tensor must be cubical"),
+    (lambda: SymTensorProblem(np.zeros((2, 2, 2)), 0), "rank_m must be >= 1"),
+    (lambda: SymTensorProblem(np.zeros((2, 2, 2)), 1).value(np.zeros(3)),
+     "expected dimension 2, got 3"),
+    (lambda: LinearNetProblem(_X, [(2, 2)], "other"),
+     "mode must be 'autoencoder' or 'supervised'"),
+    (lambda: LinearNetProblem(_X, [(2, 3)]), "cols(W_1) must equal rows(data_X)"),
+    (lambda: LinearNetProblem(_X, [(3, 2)], "autoencoder"),
+     "autoencoder output must match input dimension"),
+    (lambda: LinearNetProblem(_X, [(3, 2)], "supervised"), "supervised mode requires labels_Y"),
+    (lambda: LinearNetProblem(_X, [(3, 2)], "supervised", np.zeros((3, 4))),
+     "labels_Y shape does not match the network output"),
+    (lambda: LinearNetProblem(_X, [(2, 2)]).value(np.zeros(5)), "expected dimension 4, got 5"),
+    (lambda: generate_planted_tensor(2, 3, 3, 0.5, 1.5, 0),
+     "rank_m must not exceed dim_d (orthonormality)"),
+    (lambda: generate_planted_labels([(2, 3)], _X, 0), "cols(W_1) must equal rows(data_X)"),
+], ids=["order-zero", "ragged-components", "non-cubical-tensor", "rank-zero",
+        "tensor-point-length", "net-mode", "net-first-layer", "autoencoder-output",
+        "labels-missing", "labels-shape", "net-point-length", "rank-above-dim",
+        "labels-first-layer"])
+def test_problem_rejections_name_their_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_quartic_hand_values():
     p = QuarticProblem(1)
     assert p.value(np.array([2.0])) == 4.0

@@ -89,6 +89,19 @@ def test_epoch_descent_margins_nonnegative():
     assert min(margins) >= -1e-10
 
 
+@pytest.mark.parametrize("dropped", ["first", "second", "last"])
+def test_epoch_descent_rejects_a_trace_missing_an_epoch_start(dropped):
+    cfg = gp_config()
+    res = run_slo(QuarticProblem(1), np.array([1.0]), cfg)
+    n = res.epochs_completed
+    tau = {"first": 1, "second": 2, "last": n + 1}[dropped]
+    res.trace = [rec for rec in res.trace if (rec.epoch, rec.iter) != (tau, 0)]
+    lo = tau - 1 if dropped == "last" else 1
+    with pytest.raises(ValueError) as info:
+        check_epoch_descent(res, cfg)
+    assert str(info.value) == f"trace is missing the start of epoch {lo} or {lo + 1}"
+
+
 def test_single_epoch_run_has_no_descent_margins():
     cfg = gp_config()
     res = run_slo(QuarticProblem(1), np.array([0.05]), cfg)

@@ -33,6 +33,13 @@ def test_gp_rejects_start_outside_ball():
         a_gp(p, np.array([3.0]), np.zeros(1), eta=0.1, r=1.0)
 
 
+@pytest.mark.parametrize("eta, r", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -1.0)])
+def test_gp_rejects_a_step_or_radius_that_is_not_positive(eta, r):
+    with pytest.raises(ValueError) as info:
+        a_gp(quad(1), np.zeros(1), np.zeros(1), eta=eta, r=r)
+    assert str(info.value) == "eta and r must be positive"
+
+
 def test_gp_with_f_x_halves_eta_until_the_step_certifies_descent():
     # f = x^2/2 (L = 1) from x = 1: eta = 4 is projected to x+ = -2, eta = 2
     # lands on x+ = -1 with no descent, and eta = 1 reaches 0, certified with equality
