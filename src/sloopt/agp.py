@@ -22,7 +22,7 @@ class AugmentedOracle(ObjectiveOracle):
     The base oracle validates each x before x - anchor is formed."""
 
     def __init__(self, base: ObjectiveOracle, anchor_xbar, agp_alpha: float):
-        if agp_alpha <= 0:
+        if not agp_alpha > 0:
             raise ValueError("agp_alpha must be positive")
         self.base = base
         self.dim = base.dim
@@ -47,7 +47,7 @@ class AgpRegion:
 
     def __post_init__(self):
         self.center = as_vector(self.center)
-        if self.inner_radius <= 0:
+        if not self.inner_radius > 0:
             raise ValueError("inner_radius must be positive")
 
     def is_interior(self, x) -> bool:
@@ -128,7 +128,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
         raise ValueError("y0 must be interior to the region")
     if not (l1_hat >= alpha > 0):
         raise ValueError("require l1_hat >= alpha > 0")
-    if eps_hat <= 0:
+    if not eps_hat > 0:
         raise ValueError("eps_hat must be positive")
     kappa = l1_hat / alpha
     omega = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
@@ -212,12 +212,12 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
     xbar = as_vector(xbar)
     quarter = epsilon ** 0.25
     inner_radius = radius_D - 2.0 * quarter
-    if inner_radius <= 0:
+    if not inner_radius > 0:
         raise ValueError("radius_D must exceed 2*eps^(1/4)")
     region = AgpRegion(epoch_anchor, inner_radius)
     if not region.is_interior(xbar):
         raise ValueError("xbar must lie strictly inside the inner region")
-    if l1 < 1 or l2 < 1:
+    if not (l1 >= 1 and l2 >= 1):
         raise ValueError("Lipschitz constants are floored at 1")
     for _ in range(MAX_BACKTRACKS + 1):
         tried = (l1, l2)

@@ -19,16 +19,21 @@ class BpgConfig:
     stop_grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.poly_degree_n < 2:
-            raise ValueError("poly_degree_n must be >= 2")
-        if not 0 < self.l_relative < math.inf:
-            raise ValueError("l_relative must be positive")
+        _check_bpg(self.poly_degree_n, self.l_relative)
+
+
+def _check_bpg(n, l_relative):
+    if not n >= 2:
+        raise ValueError("poly_degree_n must be >= 2")
+    if not 0 < l_relative < math.inf:
+        raise ValueError("l_relative must be positive")
 
 
 def bpg_subproblem(g, l_relative, n, eps0):
     """Root of p'(rho) = -|g|^2 + L|g|^n rho^(n-1) + L|g|^2 rho by Newton's method
     from above. p' is increasing and convex for rho > 0, so the iterates fall to the
     root and stop a few ulps from it: within eps0/2 for any eps0 above that."""
+    _check_bpg(n, l_relative)
     gn = norm(as_vector(g))
     if gn == 0.0:
         raise ValueError("bpg_subproblem requires g != 0")

@@ -213,17 +213,17 @@ def project_ball(x: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
 def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
           max_grad_evals: int, time_budget_s: float | None = None,
           max_epochs: int = 1, max_iters: int | None = None) -> RunResult:
-    """The solver loop of every method: traced epochs of steps until a stop.
+    """The solver loop of every method: one loop of traced iterates and steps, with one exit.
 
     Every iterate gets a trace row. The run stops at ``||grad|| < tol``, on divergence
     (non-finite f or a rise above 1e12), on a stall (a step that returned its input's bytes and
-    evaluated nothing), or when the gradient evaluation, time, iteration or epoch budget is
-    spent, checked in that order; an evaluation past the gradient budget, a hard cap, ends the
-    run at the last traced iterate. Epoch tau opens once its anchor's row passed these tests:
-    ``start_epoch(counting_oracle, anchor, tau)`` does the epoch's set-up and returns its step
-    ``(x, grad, f) -> (next x, closes, ||next x - anchor||)``, whose distance the next row
-    records; the first row of an epoch records 0.0. After ``max_epochs`` closed epochs the final
-    point is traced once more, as the first row of epoch ``max_epochs + 1``.
+    evaluated nothing), when the gradient evaluation, time, iteration or epoch budget is spent,
+    checked in that order, or at an evaluation past the gradient budget, a hard cap. Every stop
+    returns the last row's iterate, its gradient norm and its ``epoch - 1`` closed epochs. Epoch
+    tau opens at its anchor's row once that row passed the stop tests: ``start_epoch(counting,
+    anchor, tau)`` does the epoch's set-up and returns its step ``(x, grad, f) -> (next x,
+    closes, ||next x - anchor||)``, whose distance the next row records; an epoch's first row
+    records 0.0. After ``max_epochs`` closed epochs the final point is traced once more.
     """
     if not (max_grad_evals >= 1 and (time_budget_s is None or time_budget_s > 0)
             and (max_iters is None or max_iters >= 0)):
@@ -236,57 +236,52 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                          f"{oracle.dim}")
     t0 = time.monotonic()
     trace: list[IterationRecord] = []
-    f_prev, g_prev = math.inf, None
-    steps = closed = 0
+    f_prev, g_prev, step, dist = math.inf, None, None, 0.0
+    steps = closed = k = 0
     try:
         while True:
-            anchor = x.copy()
-            step = None
-            k, dist = 0, 0.0
-            while True:
-                g = counting.gradient(x)
-                g_norm = counting.grad_norm
-                f = counting.base.value(x)
-                traced = x
-                elapsed = time.monotonic() - t0  # one reading for the row and the budget
-                trace.append(IterationRecord(closed + 1, k, counting.grad_evals, elapsed, f,
-                                             g_norm, dist))
-                if g_norm < tol:
-                    stop = Termination.GradientTolerance
-                elif not math.isfinite(f) or f - f_prev > 1e12:
-                    stop = Termination.Diverged
-                elif g is g_prev:  # the point of the last row, and nothing evaluated since
-                    stop = Termination.Stalled
-                elif counting.grad_evals >= max_grad_evals:
-                    stop = Termination.EvalBudget
-                elif time_budget_s is not None and elapsed > time_budget_s:
-                    stop = Termination.TimeBudget
-                elif steps == max_iters:
-                    stop = Termination.IterationBudget
-                elif closed == max_epochs:
-                    stop = Termination.EpochBudget
-                else:
-                    stop = None
-                if stop is not None:
-                    return RunResult(x, g_norm, stop, trace, closed, counting.grad_evals)
-                if step is None:
-                    step = start_epoch(counting, anchor, closed + 1)
-                f_prev, g_prev = f, g
-                x, closes, dist = step(x, g, f)
-                steps += 1
-                k += 1
-                if closes:
-                    closed += 1
-                    break
+            g = counting.gradient(x)
+            g_norm = counting.grad_norm
+            f = counting.base.value(x)
+            traced = x
+            elapsed = time.monotonic() - t0  # one reading for the row and the budget
+            trace.append(IterationRecord(closed + 1, k, counting.grad_evals, elapsed, f, g_norm, dist))
+            if g_norm < tol:
+                stop = Termination.GradientTolerance
+            elif not math.isfinite(f) or f - f_prev > 1e12:
+                stop = Termination.Diverged
+            elif g is g_prev:  # the point of the last row, and nothing evaluated since
+                stop = Termination.Stalled
+            elif counting.grad_evals >= max_grad_evals:
+                stop = Termination.EvalBudget
+            elif time_budget_s is not None and elapsed > time_budget_s:
+                stop = Termination.TimeBudget
+            elif steps == max_iters:
+                stop = Termination.IterationBudget
+            elif closed == max_epochs:
+                stop = Termination.EpochBudget
+            else:
+                stop = None
+            if stop is not None:
+                break
+            if step is None:  # the epoch opens at its anchor's row
+                step = start_epoch(counting, x.copy(), closed + 1)
+            f_prev, g_prev = f, g
+            x, closes, dist = step(x, g, f)
+            steps += 1
+            k += 1
+            if closes:
+                closed += 1
+                k, dist, step = 0, 0.0, None
     except _BudgetSpent:
-        last = trace[-1]
-        return RunResult(traced, last.grad_norm, Termination.EvalBudget, trace, last.epoch - 1,
-                         counting.grad_evals)
+        stop = Termination.EvalBudget
+    last = trace[-1]
+    return RunResult(traced, last.grad_norm, stop, trace, last.epoch - 1, counting.grad_evals)
 
 
 def finite_diff_gradient(oracle: ObjectiveOracle, x: np.ndarray, h: float) -> np.ndarray:
     """Central-difference gradient, the reference oracle for gradient checks."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be positive")
     x = as_vector(x)
     g = np.empty_like(x)

@@ -34,11 +34,11 @@ def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -
     closer than 1e-12 are dropped. A sampled value is a lower bound; callers apply a safety factor.
     """
     center = as_vector(center)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if oracle.growth1 is not None:
         return _analytic(oracle.growth1, center, radius)
-    if n_samples < 2:
+    if not n_samples >= 2:
         raise ValueError("need at least 2 samples without analytic growth")
     # the center at index 0, then n_samples points uniform in the closed ball
     rng = np.random.default_rng(seed)
@@ -61,7 +61,7 @@ def estimate_l2(oracle: ObjectiveOracle, center, radius) -> LipschitzEstimate:
     """Hessian-Lipschitz constant over B(center, radius) from the oracle's
     analytic ``growth2``; ValueError without it. Nothing is sampled."""
     center = as_vector(center)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if oracle.growth2 is None:
         raise ValueError("estimate_l2 needs an oracle with analytic growth2")

@@ -206,32 +206,23 @@ class QuadraticProblem(ObjectiveOracle):
     """f(x) = 0.5 ||x||^2, with constant unit gradient-Lipschitz bound."""
 
     growth1 = growth2 = _unit_bound
+    sign = 1.0
 
     def __init__(self, dim: int):
         self.dim = dim
 
     def value(self, x):
         x = as_vector(x)
-        return float(0.5 * np.dot(x, x))
+        return float(self.sign * 0.5 * np.dot(x, x))
 
     def gradient(self, x):
-        return as_vector(x).copy()
+        return self.sign * as_vector(x)
 
 
-class NegQuadraticProblem(ObjectiveOracle):
+class NegQuadraticProblem(QuadraticProblem):
     """f(x) = -0.5 ||x||^2. Unbounded below; only used inside small balls."""
 
-    growth1 = growth2 = _unit_bound
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def value(self, x):
-        x = as_vector(x)
-        return float(-0.5 * np.dot(x, x))
-
-    def gradient(self, x):
-        return -as_vector(x)
+    sign = -1.0
 
 
 class LinearProblem(ObjectiveOracle):

@@ -54,7 +54,7 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_
     """
     x = as_vector(x)
     center = as_vector(center)
-    if eta <= 0 or r <= 0:
+    if not (eta > 0 and r > 0):
         raise ValueError("eta and r must be positive")
     if norm(x - center) > r * (1 + 1e-12):
         raise ValueError("a_gp requires x inside B(center, r)")
@@ -73,7 +73,7 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_
 def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):
     """GD step when the gradient is small, else a step of length d along -grad."""
     x = as_vector(x)
-    if not 1 <= l1 < np.inf or d <= 0:
+    if not (1 <= l1 < np.inf and d > 0):
         raise ValueError("require a finite l1 >= 1 and d > 0")
     g = oracle.gradient(x) if grad is None else grad
     gnorm = norm(g)

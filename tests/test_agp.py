@@ -533,7 +533,10 @@ _X2 = np.zeros(2)
 @pytest.mark.parametrize("call, exc, message", [
     (lambda: AugmentedOracle(QuadraticProblem(2), _X2, 0.0), ValueError,
      "agp_alpha must be positive"),
+    (lambda: AugmentedOracle(QuadraticProblem(2), _X2, math.nan), ValueError,
+     "agp_alpha must be positive"),
     (lambda: AgpRegion(_X2, 0.0), ValueError, "inner_radius must be positive"),
+    (lambda: AgpRegion(_X2, math.nan), ValueError, "inner_radius must be positive"),
     (lambda: UpgOutcome(0), ValueError, "invalid flag 0"),
     (lambda: find_nc_pair(QuadraticProblem(2), [_X2], [], _X2, 1.0), ValueError,
      "x_hist and y_hist must have equal length"),
@@ -541,6 +544,8 @@ _X2 = np.zeros(2)
      "require l1_hat >= alpha > 0"),
     (lambda: agp_upg(QuadraticProblem(2), AgpRegion(_X2, 1.0), _X2, 0.0, 2.0, 1.0), ValueError,
      "eps_hat must be positive"),
+    (lambda: agp_upg(QuadraticProblem(1), AgpRegion(np.zeros(1), 1.0), np.array([0.1]), math.nan,
+                     1.0, 0.5), ValueError, "eps_hat must be positive"),
     # a linear f_hat is never alpha-strongly convex: its certificate holds at every t, the
     # gradient never falls below sqrt(eps_hat), and the path stays inside the region
     (lambda: agp_upg(LinearProblem([1.01, 0.0]), AgpRegion(_X2, 1e6), _X2, 1.0, 1e6, 1.0),
@@ -548,18 +553,27 @@ _X2 = np.zeros(2)
      "the Lipschitz estimates are inconsistent with the objective"),
     (lambda: a_agp(QuadraticProblem(2), _X2, 1.0, 1.0, _X2, 0.02, 1e-8), ValueError,
      "radius_D must exceed 2*eps^(1/4)"),
+    (lambda: a_agp(QuadraticProblem(2), _X2, 1.0, 1.0, _X2, 0.1, math.nan), ValueError,
+     "radius_D must exceed 2*eps^(1/4)"),
+    (lambda: a_agp(QuadraticProblem(2), _X2, 1.0, 1.0, _X2, math.nan, 1e-8), ValueError,
+     "radius_D must exceed 2*eps^(1/4)"),
     (lambda: a_agp(QuadraticProblem(2), np.array([0.08, 0.0]), 1.0, 1.0, _X2, 0.1, 1e-8),
      ValueError, "xbar must lie strictly inside the inner region"),
     (lambda: a_agp(QuadraticProblem(2), _X2, 0.5, 1.0, _X2, 0.1, 1e-8), ValueError,
+     "Lipschitz constants are floored at 1"),
+    (lambda: a_agp(QuadraticProblem(2), _X2, math.nan, 1.0, _X2, 0.1, 1e-8), ValueError,
+     "Lipschitz constants are floored at 1"),
+    (lambda: a_agp(QuadraticProblem(2), _X2, 1.0, math.nan, _X2, 0.1, 1e-8), ValueError,
      "Lipschitz constants are floored at 1"),
     # without f_x no step is certified, so an AgpError is the caller's: here a step below
     # resolution leaves the certificate failed with no NC pair among the iterates
     (lambda: a_agp(LinearProblem([1e-3, 0.0]), np.array([1e14, 0.0]), 1.0, 1.0,
                    np.array([1e14, 0.0]), 0.1, 1e-8),
      AgpError, "progress certificate failed but no NC pair found; l1_hat is likely underestimated"),
-], ids=["agp-alpha", "inner-radius", "flag", "history-lengths", "l1-hat-below-alpha", "eps-hat",
-        "iteration-cap", "radius-D", "xbar-outside", "constants-below-one",
-        "uncertified-agp-error"])
+], ids=["agp-alpha", "agp-alpha-nan", "inner-radius", "inner-radius-nan", "flag",
+        "history-lengths", "l1-hat-below-alpha", "eps-hat", "eps-hat-nan", "iteration-cap",
+        "radius-D", "epsilon-nan", "radius-D-nan", "xbar-outside", "constants-below-one",
+        "l1-nan", "l2-nan", "uncertified-agp-error"])
 def test_agp_rejections_name_their_cause(call, exc, message):
     with pytest.raises(exc) as info:
         call()

@@ -44,6 +44,20 @@ def test_subproblem_n4_reference_root():
     assert abs(rho - independent_bisection_root(1.0, 1.0, 4)) < 1e-10
 
 
+@pytest.mark.parametrize("g, l_relative, n, message", [
+    ([2.0], -1.0, 2, "l_relative must be positive"),
+    ([2.0], 0.0, 2, "l_relative must be positive"),
+    ([2.0], math.nan, 2, "l_relative must be positive"),
+    ([2.0], math.inf, 2, "l_relative must be positive"),
+    ([2.0], 1.0, 1, "poly_degree_n must be >= 2"),
+    ([0.0], 1.0, 2, "bpg_subproblem requires g != 0"),
+], ids=["l-negative", "l-zero", "l-nan", "l-inf", "n-one", "g-zero"])
+def test_subproblem_rejections_name_their_cause(g, l_relative, n, message):
+    with pytest.raises(ValueError) as info:
+        bpg_subproblem(np.array(g), l_relative, n, 1e-16)
+    assert str(info.value) == message
+
+
 def test_subproblem_residual_bracketed():
     gn = 2.0
     rho = bpg_subproblem(np.array([gn]), 1.0, 4, 1e-12)

@@ -165,9 +165,10 @@ def test_finite_diff_matches_quadratic():
 @pytest.mark.parametrize("x, h, exc, message", [
     ([1.0], 0.0, ValueError, "h must be positive"),
     ([1.0], -1e-6, ValueError, "h must be positive"),
+    ([1.0], math.nan, ValueError, "h must be positive"),
     # (x +- h)^4 / 4 overflows to inf in Python floats, without a RuntimeWarning
     ([1e100], 1.0, EvaluationError, "non-finite function value probing coordinate 0"),
-], ids=["h-zero", "h-negative", "overflowing-probe"])
+], ids=["h-zero", "h-negative", "h-nan", "overflowing-probe"])
 def test_finite_diff_gradient_rejections_name_their_cause(x, h, exc, message):
     with pytest.raises(exc) as info:
         finite_diff_gradient(QuarticProblem(1), np.array(x), h)
@@ -323,3 +324,52 @@ def test_a_step_that_returns_its_input_stalls_the_run(method, rows, evals):
     assert res.termination is Termination.Stalled
     assert (len(res.trace), res.grad_evals) == (rows, evals)
     assert [rec.f_value for rec in res.trace] == [1e11] * rows
+
+
+def _run_to_stop(kind, monkeypatch):
+    from sloopt.problems import generate_planted_tensor
+    from sloopt.slo import run_slo
+
+    quartic, ones = QuarticProblem(2), np.ones(2)
+    if kind == "gradient_tolerance":
+        return quartic, gd_fixed(quartic, ones, 0.1, stop_grad_tol=0.5)
+    if kind == "diverged":  # x1 = 2 - 8 = -6, x2 = -6 + 216 = 210, ...
+        return QuarticProblem(1), gd_fixed(QuarticProblem(1), np.array([2.0]), 1.0)
+    if kind == "stalled":  # 1 - 1e-20 * 1 rounds to 1
+        return quartic, gd_fixed(quartic, ones, 1e-20)
+    if kind == "eval_budget_at_a_row":
+        return quartic, gd_fixed(quartic, ones, 1e-3, max_grad_evals=5)
+    if kind.startswith("eval_budget_"):  # the first epoch's sampled L1 spends evaluations 2-51
+        prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)
+        D, d = epoch_geometry(Subroutine.NGD, 1e-6, 0.1, 0.0)
+        budget = 20 if kind == "eval_budget_in_a_step" else 51
+        return prob, run_slo(prob, np.full(prob.dim, 0.3),
+                             SloConfig(epsilon=1e-6, radius_D=D, margin_d=d,
+                                       subroutine=Subroutine.NGD, max_total_grad_evals=budget))
+    if kind == "time_budget":
+        ticks = iter(range(1000))  # a clock that advances 1 s per reading
+        monkeypatch.setattr(sloopt.core, "time",
+                            types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        return quartic, gd_fixed(quartic, ones, 1e-6, time_budget_s=3.5)
+    if kind == "iteration_budget":
+        return quartic, gd_fixed(quartic, ones, 1e-3, max_iters=3)
+    cfg = SloConfig(epsilon=1e-6, radius_D=0.5, margin_d=0.5, subroutine=Subroutine.LS,
+                    ls_delta_bar=0.5, max_epochs=2)
+    return QuarticProblem(1), run_slo(QuarticProblem(1), np.array([1.0]), cfg)
+
+
+@pytest.mark.parametrize("kind", [
+    "gradient_tolerance", "diverged", "stalled", "eval_budget_at_a_row", "eval_budget_in_a_step",
+    "eval_budget_at_the_next_row", "time_budget", "iteration_budget", "epoch_budget"])
+def test_every_stop_returns_its_last_trace_row(kind, monkeypatch):
+    # "at the next row": a step spent the budget and moved x, whose gradient is then not made
+    prob, res = _run_to_stop(kind, monkeypatch)
+    assert res.termination.value == kind.split("_at_")[0].replace("_in_a_step", "")
+    last = res.trace[-1]
+    assert res.final_grad_norm == last.grad_norm
+    assert res.epochs_completed == last.epoch - 1
+    assert repr(prob.value(res.final_point)) == repr(last.f_value)
+    if kind in ("eval_budget_in_a_step", "eval_budget_at_the_next_row"):
+        assert res.grad_evals > last.cum_grad_evals  # no row records the last step's evaluations
+    else:
+        assert res.grad_evals == last.cum_grad_evals

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,9 @@ def test_constant_gradient_floors_at_one():
     (lambda: estimate_l1(_NoGrowthQuadratic(2), np.zeros(2), 1.0, n_samples=1),
      "need at least 2 samples without analytic growth"),
     (lambda: estimate_l2(QuarticProblem(2), np.zeros(2), 0.0), "radius must be positive"),
-], ids=["one-sample", "l2-radius-zero"])
+    (lambda: estimate_l1(QuarticProblem(1), np.array([100.0]), math.nan), "radius must be positive"),
+    (lambda: estimate_l2(QuarticProblem(1), np.array([100.0]), math.nan), "radius must be positive"),
+], ids=["one-sample", "l2-radius-zero", "l1-radius-nan", "l2-radius-nan"])
 def test_lipschitz_rejections_name_their_cause(call, message):
     with pytest.raises(ValueError) as info:
         call()

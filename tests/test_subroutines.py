@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,8 @@ def test_gp_rejects_start_outside_ball():
         a_gp(p, np.array([3.0]), np.zeros(1), eta=0.1, r=1.0)
 
 
-@pytest.mark.parametrize("eta, r", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -1.0)])
+@pytest.mark.parametrize("eta, r", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -1.0),
+                                    (math.nan, 1.0), (0.1, math.nan)])
 def test_gp_rejects_a_step_or_radius_that_is_not_positive(eta, r):
     with pytest.raises(ValueError) as info:
         a_gp(quad(1), np.zeros(1), np.zeros(1), eta=eta, r=r)
@@ -75,6 +78,14 @@ def test_ng_zero_gradient_returns_same_point():
     p = quad(2)
     out = a_ng(p, np.zeros(2), l1=1.0, d=0.1)
     np.testing.assert_array_equal(out, np.zeros(2))
+
+
+@pytest.mark.parametrize("l1, d", [(0.5, 0.1), (math.inf, 0.1), (math.nan, 0.1), (1.0, 0.0),
+                                   (1.0, -0.1), (1.0, math.nan)])
+def test_ng_rejects_an_l1_below_one_or_a_length_that_is_not_positive(l1, d):
+    with pytest.raises(ValueError) as info:
+        a_ng(quad(1), np.array([5.0]), l1=l1, d=d)
+    assert str(info.value) == "require a finite l1 >= 1 and d > 0"
 
 
 def test_ls_backtracking_hand_example():
