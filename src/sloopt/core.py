@@ -33,11 +33,11 @@ def check_finite(v: np.ndarray, what: str = "vector") -> np.ndarray:
 class ObjectiveOracle:
     """Deterministic value/gradient oracle for a smooth objective.
 
-    Subclasses set ``dim`` and implement ``value`` and ``gradient``; a
-    gradient is a new array, which callers may keep and mark read-only.
-    ``growth1(r)`` / ``growth2(r)``, when not None, are analytic gradient-
-    and Hessian-Lipschitz bounds valid on the ball of radius r around the
-    origin; they must be nondecreasing in r and floored at 1.
+    Subclasses set ``dim`` and implement ``value`` and ``gradient``; a gradient is a new array,
+    which callers may keep and mark read-only. Every bundled oracle evaluates through ``_at``,
+    which checks a point's shape, finiteness and dimension. ``growth1(r)`` / ``growth2(r)``,
+    when not None, are analytic gradient- and Hessian-Lipschitz bounds valid on the ball of
+    radius r around the origin; they must be nondecreasing in r and floored at 1.
     """
 
     dim: int
@@ -46,13 +46,15 @@ class ObjectiveOracle:
     _memo = (None, None)  # (point bytes, intermediates) of the latest point
 
     def _at(self, x, compute):
-        """``(v, compute(v))`` for v = as_vector(x), memoized by v's bytes once both passed,
-        so value and gradient at one point share the work. compute returns no views of v."""
+        """``(v, compute(v))`` for v = x checked 1-D, finite and ``dim`` long, memoized by its bytes,
+        so value and gradient at one point share checks and work. compute returns no view of v."""
         v = np.asarray(x, dtype=float)
         key = v.tobytes()
         if v.ndim == 1 and key == self._memo[0]:
             return v, self._memo[1]
         v = check_finite(v) if v.ndim == 1 else as_vector(v)
+        if v.size != self.dim:
+            raise ValueError(f"expected dimension {self.dim}, got {v.size}")
         out = compute(v)
         self._memo = (key, out)
         return v, out
@@ -229,6 +231,8 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
             and (max_iters is None or max_iters >= 0)):
         raise ValueError("budgets must allow the start: max_grad_evals >= 1, "
                          "time_budget_s > 0 and max_iters >= 0")
+    if not tol >= 0:  # a NaN tolerance would never stop the run; 0 turns the stop off
+        raise ValueError(f"the gradient tolerance must be >= 0, got {tol!r}")
     counting = CountingOracle(oracle, max_grad_evals)
     x = as_vector(x_start).copy()
     if x.size != oracle.dim:

@@ -60,24 +60,21 @@ class SymTensorProblem(ObjectiveOracle):
         self.dim = self.rank_m * self.dim_d
 
     def _blocks(self, x: np.ndarray):
-        """The m x d blocks of a vector that passed ``as_vector``."""
-        if x.size != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got {x.size}")
+        """The m x d blocks of a point that passed ``_at``'s checks."""
         return x.reshape(self.rank_m, self.dim_d)
 
-    def _residual(self, blocks) -> np.ndarray:
+    def _residual(self, x) -> np.ndarray:
         r = self.tensor.copy()
-        for b in blocks:
+        for b in self._blocks(x):
             r -= _outer_power(b, self.order_k)
         return r
 
     def value(self, x):
-        return float(np.sum(self._residual(self._blocks(as_vector(x))) ** 2))
+        return float(np.sum(self._at(x, self._residual)[1] ** 2))
 
     def gradient(self, x):
-        blocks = self._blocks(as_vector(x))
-        resid = self._residual(blocks)
-        k = self.order_k
+        x, resid = self._at(x, self._residual)
+        blocks, k = self._blocks(x), self.order_k
         g = np.empty_like(blocks)
         for i, b in enumerate(blocks):
             # contract the residual with x_i over k-1 modes
@@ -173,8 +170,6 @@ class LinearNetProblem(ObjectiveOracle):
 
     def _forward(self, w):
         """[X, W_1 X, ..., W_m ... W_1 X, that product minus the target] at a valid w."""
-        if w.size != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got {w.size}")
         acts = [self.data_X]
         for start, stop, shape in self._layout:
             acts.append(w[start:stop].reshape(shape).dot(acts[-1]))
@@ -212,11 +207,10 @@ class QuadraticProblem(ObjectiveOracle):
         self.dim = dim
 
     def value(self, x):
-        x = as_vector(x)
-        return float(self.sign * 0.5 * np.dot(x, x))
+        return self.sign * 0.5 * self._at(x, _squared_norm)[1]
 
     def gradient(self, x):
-        return self.sign * as_vector(x)
+        return self.sign * self._at(x, _squared_norm)[0]
 
 
 class NegQuadraticProblem(QuadraticProblem):
@@ -235,9 +229,10 @@ class LinearProblem(ObjectiveOracle):
         self.dim = self.slope.size
 
     def value(self, x):
-        return float(np.dot(self.slope, as_vector(x)))
+        return float(self._at(x, self.slope.dot)[1])
 
     def gradient(self, x):
+        self._at(x, self.slope.dot)  # checks the point
         return self.slope.copy()
 
 

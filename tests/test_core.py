@@ -298,6 +298,20 @@ def test_drive_rejects_a_budget_that_allows_no_start(method):
     assert run(time_budget_s=1e-9, max_grad_evals=1, max_iters=0).trace
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+@pytest.mark.parametrize("method", ["gd_fixed", "run_bpg", "drive"])
+def test_drive_rejects_a_tolerance_that_is_nan_or_negative(method, tol):
+    # g_norm < tol is never true for these, so the run would go on to its iteration budget
+    run = {"gd_fixed": lambda: gd_fixed(QuadraticProblem(1), [1.0], 0.5, stop_grad_tol=tol,
+                                        max_iters=100),
+           "run_bpg": lambda: run_bpg(QuarticProblem(1), np.array([1.0]),
+                                      BpgConfig(4, 1.0, stop_grad_tol=tol, max_iters=50)),
+           "drive": lambda: sloopt.core.drive(QuadraticProblem(1), [1.0], None, tol, 100)}
+    with pytest.raises(ValueError) as info:
+        run[method]()
+    assert str(info.value) == f"the gradient tolerance must be >= 0, got {tol!r}"
+
+
 class SampledLinear(LinearProblem):
     growth1 = growth2 = None  # no analytic bound: GP certifies its step and NGD samples L1
 

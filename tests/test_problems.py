@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sloopt.core import EvaluationError, finite_diff_gradient
-from sloopt.problems import (LinearNetProblem, PlantedTensorProblem,
+import sloopt.problems
+from sloopt.problems import (LinearNetProblem, LinearProblem, NegQuadraticProblem,
+                             PlantedTensorProblem, QuadraticProblem,
                              QuarticProblem, SymTensorProblem,
                              generate_planted_labels,
                              generate_planted_tensor, tensor_from_components,
@@ -131,12 +133,23 @@ _X = np.zeros((2, 5))  # data with 2 features and 5 samples
     (lambda: LinearNetProblem(_X, [(3, 2)], "supervised", np.zeros((3, 4))),
      "labels_Y shape does not match the network output"),
     (lambda: LinearNetProblem(_X, [(2, 2)]).value(np.zeros(5)), "expected dimension 4, got 5"),
+    (lambda: QuarticProblem(3).value(np.ones(5)), "expected dimension 3, got 5"),
+    (lambda: QuarticProblem(3).gradient(np.ones(5)), "expected dimension 3, got 5"),
+    (lambda: QuadraticProblem(3).value(np.ones(5)), "expected dimension 3, got 5"),
+    (lambda: QuadraticProblem(3).gradient(np.ones(5)), "expected dimension 3, got 5"),
+    (lambda: NegQuadraticProblem(3).value(np.ones(5)), "expected dimension 3, got 5"),
+    (lambda: NegQuadraticProblem(3).gradient(np.ones(5)), "expected dimension 3, got 5"),
+    (lambda: LinearProblem([1.0, 2.0]).value(np.ones(5)), "expected dimension 2, got 5"),
+    (lambda: LinearProblem([1.0, 2.0]).gradient(np.ones(5)), "expected dimension 2, got 5"),
     (lambda: generate_planted_tensor(2, 3, 3, 0.5, 1.5, 0),
      "rank_m must not exceed dim_d (orthonormality)"),
     (lambda: generate_planted_labels([(2, 3)], _X, 0), "cols(W_1) must equal rows(data_X)"),
 ], ids=["order-zero", "ragged-components", "non-cubical-tensor", "rank-zero",
         "tensor-point-length", "net-mode", "net-first-layer", "autoencoder-output",
-        "labels-missing", "labels-shape", "net-point-length", "rank-above-dim",
+        "labels-missing", "labels-shape", "net-point-length", "quartic-value-length",
+        "quartic-gradient-length", "quadratic-value-length", "quadratic-gradient-length",
+        "negquadratic-value-length", "negquadratic-gradient-length", "linear-value-length",
+        "linear-gradient-length", "rank-above-dim",
         "labels-first-layer"])
 def test_problem_rejections_name_their_cause(call, message):
     with pytest.raises(ValueError) as info:
@@ -182,6 +195,11 @@ MEMO_PROBLEMS = {
     "autoencoder": lambda: LinearNetProblem(_NET_X, [(2, 3), (4, 2), (3, 4)], "autoencoder"),
     "supervised": lambda: LinearNetProblem(_NET_X, [(2, 3), (4, 2)], "supervised", _NET_Y),
     "quartic": lambda: QuarticProblem(6),
+    "dense": lambda: SymTensorProblem(
+        tensor_from_components(generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)[1], 3), 2),
+    "quadratic": lambda: QuadraticProblem(5),
+    "negquadratic": lambda: NegQuadraticProblem(5),
+    "linear": lambda: LinearProblem([0.5, -1.0, 2.0, 0.25]),
 }
 # Each call hands the point over in a new object: a copy, a list, or a strided view.
 FORMS = {"copy": np.copy, "list": lambda x: x.tolist(),
@@ -194,12 +212,13 @@ def _bits(out):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(MEMO_PROBLEMS)), st.integers(0, 2**32 - 1),
-       st.lists(st.tuples(st.sampled_from(["call", "mutate", "2-D", "non-finite"]),
+       st.lists(st.tuples(st.sampled_from(["call", "mutate", "2-D", "non-finite", "wrong-dim"]),
                           st.sampled_from(["value", "gradient"]), st.integers(0, 2),
                           st.sampled_from(sorted(FORMS))), min_size=1, max_size=14))
 def test_memo_answers_as_a_fresh_instance(name, seed, ops):
     """Any interleaving of value/gradient calls returns the bits a fresh instance
-    returns at the same point, and rejects what ``as_vector`` rejects."""
+    returns at the same point, and rejects what ``as_vector`` rejects and a point of
+    another length."""
     prob = MEMO_PROBLEMS[name]()
     rng = np.random.default_rng(seed)
     points = [rng.uniform(-1.5, 1.5, prob.dim) for _ in range(3)]
@@ -227,6 +246,10 @@ def test_memo_answers_as_a_fresh_instance(name, seed, ops):
         elif op == "2-D":  # the memoized bytes, shaped as a matrix
             with pytest.raises(ValueError):
                 getattr(prob, method)(last.reshape(1, -1))
+        elif op == "wrong-dim":  # the latest point, one entry too long
+            with pytest.raises(ValueError) as info:
+                getattr(prob, method)(FORMS[form](np.append(last, 0.5)))
+            assert str(info.value) == f"expected dimension {prob.dim}, got {prob.dim + 1}"
         else:  # the same non-finite point twice, after a finite one
             bad = last.copy()
             bad[i % bad.size] = (np.nan, np.inf, -np.inf)[i]
@@ -248,7 +271,24 @@ def test_gradients_at_two_points_are_distinct_arrays():
         bits = g.tobytes()
         h = prob.gradient(y)
         assert not np.shares_memory(g, h), name
-        assert g.tobytes() == bits and h.tobytes() != bits, name
+        # the linear gradient is the slope at every point
+        assert g.tobytes() == bits and (h.tobytes() != bits or name == "linear"), name
+
+
+def test_dense_value_after_gradient_reuses_the_residual(monkeypatch):
+    prob = SymTensorProblem(
+        tensor_from_components(generate_planted_tensor(4, 3, 2, 0.5, 1.5, 1)[1], 3), 2)
+    calls, outer_power = [], sloopt.problems._outer_power
+
+    def counted(v, k):
+        calls.append(k)
+        return outer_power(v, k)
+
+    monkeypatch.setattr(sloopt.problems, "_outer_power", counted)
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, prob.dim)
+    prob.gradient(x)
+    prob.value(x.copy())
+    assert len(calls) == prob.rank_m == 2
 
 
 def _net_reference(prob, w):
