@@ -71,7 +71,7 @@ class _BudgetSpent(Exception):
 
 
 class CountingOracle(ObjectiveOracle):
-    """Wrapper that counts gradient evaluations, at most ``max_grad_evals``.
+    """Wrapper that counts gradient evaluations, at most ``max_grad_evals``, and value calls.
 
     A one-entry memo makes repeated gradient queries at the same point
     free, so the solver loop and its subroutines do not double-charge.
@@ -198,6 +198,7 @@ class RunResult:
     trace: list[IterationRecord] = field(default_factory=list)
     epochs_completed: int = 0
     grad_evals: int = 0  # every oracle gradient evaluation, traced or not
+    value_evals: int = 0  # the solver's value calls; drive's one per trace row is not counted
 
 
 def norm(v: np.ndarray) -> float:
@@ -280,7 +281,8 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
     except _BudgetSpent:
         stop = Termination.EvalBudget
     last = trace[-1]
-    return RunResult(traced, last.grad_norm, stop, trace, last.epoch - 1, counting.grad_evals)
+    return RunResult(traced, last.grad_norm, stop, trace, last.epoch - 1, counting.grad_evals,
+                     counting.value_evals)
 
 
 def finite_diff_gradient(oracle: ObjectiveOracle, x: np.ndarray, h: float) -> np.ndarray:

@@ -31,6 +31,9 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
     # per epoch from estimate_l1 on the ball D; LS ignores L.
     carry = sub is Subroutine.AGP or (sub is Subroutine.GP and oracle.growth1 is None)
     L = [1.0, 1.0]
+    # LS's last accepted grid index, carried across its one-step epochs: each search starts
+    # one index lower, at a step 1/theta times longer.
+    j_ls = [0]
 
     def start_epoch(counting, anchor, tau):
         if carry:
@@ -49,7 +52,8 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
             elif sub is Subroutine.NGD:
                 x_next = a_ng(counting, x, L[0], d, grad=g)
             elif sub is Subroutine.LS:
-                x_next, _, _ = a_ls(counting, x, -g, ls_params, grad=g, f_x=f)
+                x_next, _, j_ls[0] = a_ls(counting, x, -g, ls_params, grad=g, f_x=f,
+                                          j_start=max(0, j_ls[0] - 1))
             else:
                 x_next, _, L[0], L[1] = a_agp(counting, x, *L, anchor, D, config.epsilon,
                                               grad=g, f_x=f)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import ObjectiveOracle, as_vector, check_finite, norm, project_ball
 
-MAX_BACKTRACKS = 200  # the cap on failed tests of a_ls, a_gp and a_agp
+MAX_BACKTRACKS = 200  # the cap on failed tests of a_gp and a_agp, and on a_ls's grid index
 
 
 class DirectionError(ValueError):
@@ -84,12 +84,19 @@ def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):
     return check_finite(out, "a_ng output")
 
 
-def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x=None):
-    """Armijo backtracking with the adaptive stepsize cap delta_bar / ||direction||.
+def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x=None,
+         j_start=None):
+    """Armijo search on the grid delta_j = cap * theta^j, j = 0 .. MAX_BACKTRACKS, below the
+    adaptive stepsize cap ``cap = delta_bar / ||direction||``.
 
-    Returns (new point, accepted stepsize, number of backtracks). The step
-    length ||out - x|| never exceeds delta_bar.
+    The cold search (``j_start`` None) tries j = 0, 1, ... until a trial passes. Given
+    ``j_start``, the search tries that index first: if it passes, it tries j_start - 1, ...
+    while they pass; otherwise j_start + 1, ... until one passes. Returns (new point,
+    accepted stepsize, accepted index j). The step length ||out - x|| never exceeds delta_bar.
     """
+    if not (j_start is None or isinstance(j_start, int) and 0 <= j_start <= MAX_BACKTRACKS):
+        raise ValueError(f"j_start must be None or an int in [0, {MAX_BACKTRACKS}], "
+                         f"got {j_start!r}")
     x = as_vector(x)
     d = as_vector(direction)
     dnorm = norm(d)
@@ -104,9 +111,22 @@ def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x
             f"<grad, d> = {slope:g} exceeds -alpha*||grad||*||d|| = {bound:g}"
         )
     fx = oracle.value(x) if f_x is None else f_x
-    for j in range(MAX_BACKTRACKS + 1):
-        delta = params.delta_bar / dnorm if j == 0 else delta * params.theta
-        trial = x + delta * d
-        if oracle.value(trial) <= fx + params.sigma * delta * slope:
-            return check_finite(trial, "a_ls output"), delta, j
-    raise BacktrackBudgetError(delta)
+    deltas = [params.delta_bar / dnorm]  # deltas[j]: the cap times theta, j times over
+
+    def trial(j):  # the trial point at index j if it passes the Armijo test, else None
+        while len(deltas) <= j:
+            deltas.append(deltas[-1] * params.theta)
+        out = x + deltas[j] * d
+        return out if oracle.value(out) <= fx + params.sigma * deltas[j] * slope else None
+
+    j = 0 if j_start is None else j_start
+    out = trial(j)
+    while out is None:  # smaller steps until one passes
+        if j == MAX_BACKTRACKS:
+            raise BacktrackBudgetError(deltas[j])
+        j += 1
+        out = trial(j)
+    if j == j_start:  # the start passed: larger steps while they pass
+        while j > 0 and (larger := trial(j - 1)) is not None:
+            j, out = j - 1, larger
+    return check_finite(out, "a_ls output"), deltas[j], j

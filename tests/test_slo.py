@@ -188,13 +188,16 @@ def test_start_that_meets_the_tolerance_spends_no_estimate(config):
 def test_ls_steps_reuse_the_traced_value(monkeypatch):
     import sloopt.slo as slo_mod
 
-    backtracks = []
+    trials, at_x = [], []
     a_ls = slo_mod.a_ls
 
-    def logged(*args, **kwargs):
-        out = a_ls(*args, **kwargs)
-        backtracks.append(out[2])
-        return out
+    def logged(oracle, x, *args, **kwargs):
+        value = oracle.value
+        oracle.value = lambda p: trials.append(p) or at_x.append(np.array_equal(p, x)) or value(p)
+        try:
+            return a_ls(oracle, x, *args, **kwargs)
+        finally:
+            del oracle.value
 
     monkeypatch.setattr(slo_mod, "a_ls", logged)
     cfg = SloConfig(epsilon=EPS, radius_D=0.5, margin_d=0.5,
@@ -202,9 +205,45 @@ def test_ls_steps_reuse_the_traced_value(monkeypatch):
     prob = QuarticProblem(3)
     values = _log_calls(prob, "value")
     res = run_slo(prob, np.array([1.0, -0.5, 0.2]), cfg)
-    assert res.termination is Termination.GradientTolerance and sum(backtracks) > 0
-    # one value per trace row, then one per Armijo trial point
-    assert len(values) == len(res.trace) + sum(1 + j for j in backtracks)
+    steps = len(res.trace) - 1
+    assert res.termination is Termination.GradientTolerance and len(trials) > steps
+    # one value per trace row, then one per Armijo trial point, none at the step's own x;
+    # value_evals counts the trials alone
+    assert len(values) == len(res.trace) + len(trials) and not any(at_x)
+    assert res.value_evals == len(trials)
+
+
+def test_ls_starts_each_search_one_index_below_the_last_accepted_one(monkeypatch):
+    import sloopt.slo as slo_mod
+
+    starts, accepted = [], []
+    a_ls = slo_mod.a_ls
+
+    def logged(*args, j_start=None, **kwargs):
+        out = a_ls(*args, j_start=j_start, **kwargs)
+        starts.append(j_start)
+        accepted.append(out[2])
+        return out
+
+    monkeypatch.setattr(slo_mod, "a_ls", logged)
+    cfg = SloConfig(epsilon=EPS, radius_D=0.5, margin_d=0.5,
+                    subroutine=Subroutine.LS, ls_delta_bar=0.5)
+    res = run_slo(QuarticProblem(3), np.array([1.0, -0.5, 0.2]), cfg)
+    assert res.termination is Termination.GradientTolerance and max(accepted) > 1
+    assert starts == [0] + [max(0, j - 1) for j in accepted[:-1]]
+
+
+def test_ls_on_a_hard_planted_tensor_makes_few_value_calls():
+    from sloopt import harness
+
+    # d = 8, k = 5, m = 3, instance seed 1, round 1: the search from the cap made 62,750
+    # value calls here, the search from the last accepted step 14,845, with the same gradients
+    spec = harness.ExperimentSpec(problem="tensor", methods=("ls",), init_c=0.5, seed=1,
+                                  problem_params={"tensor_d": 8, "tensor_k": 5, "tensor_m": 3})
+    oracle, _ = harness.build_problem(spec)
+    res = spec.runners["ls"](oracle, uniform_init(oracle.dim, spec.init_c, spec.seed + 1))
+    assert res.termination is Termination.GradientTolerance and res.grad_evals == 4199
+    assert res.value_evals < 20_000
 
 
 def test_eval_budget_is_a_hard_cap_inside_the_agp_inner_loop(monkeypatch):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sloopt.core import CountingOracle
+from sloopt.core import CountingOracle, ObjectiveOracle
 from sloopt.problems import LinearProblem, QuadraticProblem, QuarticProblem
-from sloopt.subroutines import (BacktrackBudgetError, DirectionError,
+from sloopt.subroutines import (MAX_BACKTRACKS, BacktrackBudgetError, DirectionError,
                                 LsParams, a_gp, a_ls, a_ng)
 
 
@@ -174,3 +176,96 @@ def test_ls_params_accept_the_closed_ends():
     params = LsParams(sigma=0.1, alpha=1.0)
     out, delta, backtracks = a_ls(quad(1), np.array([1.0]), np.array([-1.0]), params)
     assert (delta, backtracks) == (1.0, 0) and out[0] == 0.0
+
+
+class _Quadratic(ObjectiveOracle):
+    """f(x) = x^T A x / 2."""
+
+    def __init__(self, a):
+        self.a, self.dim = a, len(a)
+
+    def value(self, x):
+        return float(0.5 * x @ (self.a @ x))
+
+    def gradient(self, x):
+        return self.a @ x
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(unit, min_size=n, max_size=n), min_size=n, max_size=n),
+           st.lists(unit, min_size=n, max_size=n).filter(lambda u: max(map(abs, u)) >= 0.5))),
+       st.floats(0.01, 0.99), st.floats(0.1, 10.0))
+def test_ls_from_any_start_index_matches_the_cold_search_on_convex_quadratics(
+        problem, sigma, delta_bar):
+    # Along -grad of a convex quadratic, Armijo acceptance is monotone in the step: every
+    # step up to a threshold passes, every longer one fails. The computed test is monotone
+    # too while the steps stay far above the rounding of x; x within delta_bar * 2^-20 of
+    # the minimum keeps the shortest step, delta_bar * 2^-60, 2^40 times above it.
+    m, u = (np.array(v) for v in problem)
+    oracle = CountingOracle(_Quadratic(m @ m.T + 0.25 * np.eye(len(u))))
+    x = u * (delta_bar * 2.0**-20)
+    g = oracle.gradient(x)
+    params = LsParams(sigma=sigma, delta_bar=delta_bar)
+    point, delta, j = a_ls(oracle, x, -g, params, grad=g)
+    for k in range(61):
+        warm, warm_delta, warm_j = a_ls(oracle, x, -g, params, grad=g, j_start=k)
+        assert (warm.tobytes(), warm_delta, warm_j) == (point.tobytes(), delta, j), k
+
+
+class _Bump(ObjectiveOracle):
+    """x^2/2 with a narrow bump at 0.75 that fails the Armijo test from x = 1 at step 0.25."""
+
+    dim = 1
+
+    def value(self, x):
+        return float(0.5 * x[0] ** 2 + math.exp(-((x[0] - 0.75) / 0.01) ** 2))
+
+    def gradient(self, x):
+        return np.array([x[0]])  # exact wherever the bump is below rounding, as at x = 1
+
+
+def test_ls_search_may_accept_another_step_where_armijo_is_not_monotone():
+    # from x = 1 along d = -1 the grid steps are 1, 0.5, 0.25, 0.125, ...; all pass but 0.25
+    oracle, x = CountingOracle(_Bump()), np.array([1.0])
+    params = LsParams(sigma=0.5, delta_bar=1.0)
+    g = oracle.gradient(x)
+    d = -g
+    _, delta, j = a_ls(oracle, x, d, params, grad=g)
+    assert (delta, j) == (1.0, 0)
+    out, delta, j = a_ls(oracle, x, d, params, grad=g, j_start=3)
+    assert (delta, j) == (0.125, 3) and out[0] == 0.875  # step 0.25 fails, so it stops
+    # the point passes the test with exactly the arithmetic of a_ls
+    assert oracle.value(out) <= oracle.value(x) + params.sigma * delta * float(g.dot(d))
+
+
+class _Stubborn(QuadraticProblem):
+    def value(self, x):  # never below the Armijo line along d = 1
+        return float(x[0])
+
+    def gradient(self, x):
+        return np.array([-1.0])
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 10])
+def test_ls_search_from_any_start_gives_up_at_the_last_grid_index(monkeypatch, k):
+    monkeypatch.setattr("sloopt.subroutines.MAX_BACKTRACKS", 10)
+    params = LsParams(sigma=0.9, theta=0.5, delta_bar=1.0, alpha=1.0)
+    with pytest.raises(BacktrackBudgetError) as cold:
+        a_ls(CountingOracle(_Stubborn(1)), np.array([1.0]), np.array([1.0]), params)
+    oracle = CountingOracle(_Stubborn(1))
+    with pytest.raises(BacktrackBudgetError) as warm:
+        a_ls(oracle, np.array([1.0]), np.array([1.0]), params, f_x=1.0, j_start=k)
+    assert warm.value.last_delta.hex() == cold.value.last_delta.hex() == (2.0**-10).hex()
+    assert oracle.value_evals == 10 + 1 - k  # one trial per grid index k .. 10
+
+
+@pytest.mark.parametrize("j_start", [-1, MAX_BACKTRACKS + 1, 1.0, "1", math.nan])
+def test_ls_rejects_a_start_index_off_the_grid(j_start):
+    oracle = quad(1)
+    with pytest.raises(ValueError, match="j_start must be None or an int"):
+        a_ls(oracle, np.array([1.0]), np.array([-1.0]), LsParams(), j_start=j_start)
+    assert oracle.value_evals == 0
