@@ -151,6 +151,8 @@ class SloConfig:
         if not (self.max_epochs > 0 and self.max_total_grad_evals > 0
                 and (self.time_budget_s is None or self.time_budget_s > 0)):
             raise ValueError("budgets must be positive")
+        if not self.seed >= 0:  # every seed goes to numpy, which rejects negative ones
+            raise ValueError("seed must be >= 0")
         radius, margin = epoch_geometry(sub, self.epsilon, self.radius_D, self.margin_d)
         if not (self.radius_D >= radius - 1e-12 and self.margin_d == margin):
             raise ValueError(f"{sub.value} at epsilon {self.epsilon!r} rejects (radius_D, margin_d)"

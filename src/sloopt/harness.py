@@ -47,6 +47,11 @@ class ExperimentSpec:
             raise ValueError("epsilon, radius and margin must be finite")
         if not 0 <= self.init_c < math.inf:
             raise ValueError("init_c must be finite and >= 0")
+        if not self.seed >= 0:  # every seed goes to numpy, which rejects negative ones
+            raise ValueError("seed must be >= 0")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:  # a second run would rewrite the first one's trace CSVs
+            raise ValueError(f"duplicate methods: {repeated}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -85,18 +85,16 @@ def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):
 
 
 def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x=None,
-         j_start=None):
+         j_start=0):
     """Armijo search on the grid delta_j = cap * theta^j, j = 0 .. MAX_BACKTRACKS, below the
     adaptive stepsize cap ``cap = delta_bar / ||direction||``.
 
-    The cold search (``j_start`` None) tries j = 0, 1, ... until a trial passes. Given
-    ``j_start``, the search tries that index first: if it passes, it tries j_start - 1, ...
-    while they pass; otherwise j_start + 1, ... until one passes. Returns (new point,
-    accepted stepsize, accepted index j). The step length ||out - x|| never exceeds delta_bar.
+    The search tries index ``j_start`` first: if it passes, it tries j_start - 1, ... while
+    they pass; otherwise j_start + 1, ... until one passes. Returns (new point, accepted
+    stepsize, accepted index j). The step length ||out - x|| never exceeds delta_bar.
     """
-    if not (j_start is None or isinstance(j_start, int) and 0 <= j_start <= MAX_BACKTRACKS):
-        raise ValueError(f"j_start must be None or an int in [0, {MAX_BACKTRACKS}], "
-                         f"got {j_start!r}")
+    if not (type(j_start) is int and 0 <= j_start <= MAX_BACKTRACKS):
+        raise ValueError(f"j_start must be an int in [0, {MAX_BACKTRACKS}], got {j_start!r}")
     x = as_vector(x)
     d = as_vector(direction)
     dnorm = norm(d)
@@ -119,8 +117,7 @@ def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x
         out = x + deltas[j] * d
         return out if oracle.value(out) <= fx + params.sigma * deltas[j] * slope else None
 
-    j = 0 if j_start is None else j_start
-    out = trial(j)
+    j, out = j_start, trial(j_start)
     while out is None:  # smaller steps until one passes
         if j == MAX_BACKTRACKS:
             raise BacktrackBudgetError(deltas[j])

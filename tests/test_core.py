@@ -241,6 +241,12 @@ def test_config_rejects_a_time_budget_that_is_not_positive(budget):
               time_budget_s=1e-9)
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP, seed=-1)
+    SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP, seed=0)
+
+
 def test_quartic_growth_bounds_dominate_true_constants():
     p = QuarticProblem(2)
     # on B(0, r) the Hessian norm is 3 r^2 and third derivative 6 r

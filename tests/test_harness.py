@@ -456,11 +456,13 @@ CONFIG_FILES = {"layers.cfg": "net_layers = 6\n", "gd_step.cfg": "gd_step = -1\n
      "ValueError: radius_D must be positive and finite"),
     *[(["--problem", "quartic", "--config", name], "ValueError: init_c must be finite and >= 0")
       for name in ("init_nan.cfg", "init_inf.cfg", "init_negative.cfg")],
+    (["--problem", "tensor", "--method", "pgd", "--seed", "-1"], "ValueError: seed must be >= 0"),
+    (["--problem", "quartic", "--method", "pgd,pgd"], "ValueError: duplicate methods: ['pgd']"),
 ], ids=["net-one-width-autoencoder", "net-one-width-supervised", "epsilon", "budget-evals",
         "budget-seconds-zero", "budget-seconds-nan", "gd-step-negative", "gd-step-nan",
         "gd-step-inf", "bpg-missing-constants", "bpg-degree-one", "bpg-l-nan", "bpg-l-inf",
         "epsilon-inf", "radius-inf", "margin-inf", "margin-overflows-the-ball", "init-c-nan",
-        "init-c-inf", "init-c-negative"])
+        "init-c-inf", "init-c-negative", "seed-negative", "method-repeated"])
 def test_cli_reports_configuration_errors_before_any_run(tmp_path, capsys, args, message):
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)

@@ -219,7 +219,7 @@ def test_ls_starts_each_search_one_index_below_the_last_accepted_one(monkeypatch
     starts, accepted = [], []
     a_ls = slo_mod.a_ls
 
-    def logged(*args, j_start=None, **kwargs):
+    def logged(*args, j_start=0, **kwargs):
         out = a_ls(*args, j_start=j_start, **kwargs)
         starts.append(j_start)
         accepted.append(out[2])

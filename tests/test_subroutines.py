@@ -199,7 +199,7 @@ unit = st.floats(-1.0, 1.0)
            st.lists(st.lists(unit, min_size=n, max_size=n), min_size=n, max_size=n),
            st.lists(unit, min_size=n, max_size=n).filter(lambda u: max(map(abs, u)) >= 0.5))),
        st.floats(0.01, 0.99), st.floats(0.1, 10.0))
-def test_ls_from_any_start_index_matches_the_cold_search_on_convex_quadratics(
+def test_ls_from_any_start_index_matches_the_default_start_on_convex_quadratics(
         problem, sigma, delta_bar):
     # Along -grad of a convex quadratic, Armijo acceptance is monotone in the step: every
     # step up to a threshold passes, every longer one fails. The computed test is monotone
@@ -254,18 +254,18 @@ class _Stubborn(QuadraticProblem):
 def test_ls_search_from_any_start_gives_up_at_the_last_grid_index(monkeypatch, k):
     monkeypatch.setattr("sloopt.subroutines.MAX_BACKTRACKS", 10)
     params = LsParams(sigma=0.9, theta=0.5, delta_bar=1.0, alpha=1.0)
-    with pytest.raises(BacktrackBudgetError) as cold:
+    with pytest.raises(BacktrackBudgetError) as from_zero:
         a_ls(CountingOracle(_Stubborn(1)), np.array([1.0]), np.array([1.0]), params)
     oracle = CountingOracle(_Stubborn(1))
     with pytest.raises(BacktrackBudgetError) as warm:
         a_ls(oracle, np.array([1.0]), np.array([1.0]), params, f_x=1.0, j_start=k)
-    assert warm.value.last_delta.hex() == cold.value.last_delta.hex() == (2.0**-10).hex()
+    assert warm.value.last_delta.hex() == from_zero.value.last_delta.hex() == (2.0**-10).hex()
     assert oracle.value_evals == 10 + 1 - k  # one trial per grid index k .. 10
 
 
-@pytest.mark.parametrize("j_start", [-1, MAX_BACKTRACKS + 1, 1.0, "1", math.nan])
+@pytest.mark.parametrize("j_start", [-1, MAX_BACKTRACKS + 1, 1.0, "1", math.nan, None, True])
 def test_ls_rejects_a_start_index_off_the_grid(j_start):
     oracle = quad(1)
-    with pytest.raises(ValueError, match="j_start must be None or an int"):
+    with pytest.raises(ValueError, match=rf"j_start must be an int in \[0, {MAX_BACKTRACKS}\], got"):
         a_ls(oracle, np.array([1.0]), np.array([-1.0]), LsParams(), j_start=j_start)
     assert oracle.value_evals == 0

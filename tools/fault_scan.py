@@ -1,12 +1,14 @@
-"""Regression scan for solver faults: the four epoch solvers and ``bpg`` on 60 small instances.
+"""Regression scan for solver faults: every method of ``harness.METHODS`` but ``gd`` on 60
+small instances.
 
     PYTHONPATH=src python3 tools/fault_scan.py
 
-``pgd``, ``ngd``, ``ls`` and ``agp`` are the ``run_slo`` methods; ``pgd``
-(without analytic growth) and ``agp`` carry their step constants from one
-epoch to the next. ``bpg`` is the Bregman proximal gradient baseline, whose
-scalar subproblem is solved by Newton's method. One ``run_experiment`` call
-(``methods=("pgd", "ngd", "ls", "agp", "bpg")``, ``epsilon=1e-6``,
+Those are the four epoch solvers and ``bpg``. ``pgd``, ``ngd``, ``ls`` and
+``agp`` are the ``run_slo`` methods; ``pgd`` (without analytic growth) and
+``agp`` carry their step constants from one epoch to the next. ``bpg`` is the
+Bregman proximal gradient baseline, whose scalar subproblem is solved by
+Newton's method. ``gd``, the fixed-step baseline, is left out. One
+``run_experiment`` call (``methods=METHODS``, ``epsilon=1e-6``,
 ``radius=0.1``, ``bpg_n=10``, ``bpg_l=10.0``, every other field at its
 default) runs for each of seeds 0-11 on five problems: the default
 ``supervised`` and ``autoencoder`` nets, the default ``tensor``, ``tensor`` at
@@ -30,7 +32,7 @@ PROBLEMS = (
     ("quartic", {"quartic_dim": 50}),
 )
 SEEDS = range(12)
-METHODS = ("pgd", "ngd", "ls", "agp", "bpg")
+METHODS = tuple(m for m in harness.METHODS if m != "gd")
 
 
 def main() -> int:
