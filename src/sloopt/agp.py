@@ -223,15 +223,13 @@ def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon
         tried = (l1, l2)
         alpha = 2.0 * math.sqrt(l2) * quarter
         f_hat = AugmentedOracle(oracle, xbar, alpha)
-        # f_hat's gradient at xbar, as AugmentedOracle.gradient computes it; its value is f_x
-        g0 = None if grad is None else grad + 2.0 * alpha * (xbar - xbar)
-        try:
-            outcome = agp_upg(f_hat, region, xbar, epsilon / 100.0, l1 + 2.0 * alpha, alpha, g0,
+        try:  # f_hat's gradient at xbar is grad, and its value is f_x
+            outcome = agp_upg(f_hat, region, xbar, epsilon / 100.0, l1 + 2.0 * alpha, alpha, grad,
                               f_x)
         except AgpError:  # no NC pair, or the iteration cap: l1 is too small
             if f_x is None:
                 raise
-            if g0 is not None and np.array_equal(xbar - g0 / (l1 + 2.0 * alpha), xbar):
+            if grad is not None and np.array_equal(xbar - grad / (l1 + 2.0 * alpha), xbar):
                 return xbar, None, l1, l2  # below resolution: drive ends the run stalled
             l1 *= 2.0
             continue

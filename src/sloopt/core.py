@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -151,6 +152,8 @@ class SloConfig:
         if not (self.max_epochs > 0 and self.max_total_grad_evals > 0
                 and (self.time_budget_s is None or self.time_budget_s > 0)):
             raise ValueError("budgets must be positive")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not self.seed >= 0:  # every seed goes to numpy, which rejects negative ones
             raise ValueError("seed must be >= 0")
         radius, margin = epoch_geometry(sub, self.epsilon, self.radius_D, self.margin_d)
@@ -244,7 +247,7 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
     t0 = time.monotonic()
     trace: list[IterationRecord] = []
     f_prev, g_prev, step, dist = math.inf, None, None, 0.0
-    steps = closed = k = 0
+    closed = k = 0
     try:
         while True:
             g = counting.gradient(x)
@@ -263,7 +266,7 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                 stop = Termination.EvalBudget
             elif time_budget_s is not None and elapsed > time_budget_s:
                 stop = Termination.TimeBudget
-            elif steps == max_iters:
+            elif len(trace) - 1 == max_iters:
                 stop = Termination.IterationBudget
             elif closed == max_epochs:
                 stop = Termination.EpochBudget
@@ -275,7 +278,6 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                 step = start_epoch(counting, x.copy(), closed + 1)
             f_prev, g_prev = f, g
             x, closes, dist = step(x, g, f)
-            steps += 1
             k += 1
             if closes:
                 closed += 1

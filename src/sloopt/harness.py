@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -37,7 +38,10 @@ class ExperimentSpec:
     problem_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.rounds < 1 or self.budget_evals < 1:
+        for name in ("rounds", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (self.rounds >= 1 and self.budget_evals >= 1):  # a NaN budget fails too
             raise ValueError("rounds and budget_evals must be >= 1")
         if not (self.budget_seconds is None or self.budget_seconds > 0):
             raise ValueError("budget_seconds must be positive")

@@ -36,6 +36,8 @@ def estimate_l1(oracle: ObjectiveOracle, center, radius, n_samples=50, seed=0) -
     center = as_vector(center)
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if radius == np.inf:
+        raise ValueError("radius must be finite")
     if oracle.growth1 is not None:
         return _analytic(oracle.growth1, center, radius)
     if not n_samples >= 2:
@@ -63,6 +65,8 @@ def estimate_l2(oracle: ObjectiveOracle, center, radius) -> LipschitzEstimate:
     center = as_vector(center)
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if radius == np.inf:
+        raise ValueError("radius must be finite")
     if oracle.growth2 is None:
         raise ValueError("estimate_l2 needs an oracle with analytic growth2")
     return _analytic(oracle.growth2, center, radius)

@@ -9,9 +9,8 @@ from .core import ObjectiveOracle, RunResult, SloConfig, Subroutine, drive, norm
 from .lipschitz import estimate_l1, estimate_l2  # the benchmark tracer wraps slo.estimate_l2
 from .subroutines import LsParams, a_gp, a_ls, a_ng
 
-# Each sampled estimate (NGD without growth1) draws this many points, and the epoch uses
-# the sampled value times this factor, since a sample maximum is only a lower bound.
-LIPSCHITZ_SAMPLES = 50
+# A sampled estimate (NGD without growth1) is a sample maximum, only a lower bound, so the
+# epoch uses it times this factor.
 LIPSCHITZ_SAFETY = 1.5
 
 
@@ -39,7 +38,7 @@ def run_slo(oracle: ObjectiveOracle, x_start, config: SloConfig) -> RunResult:
         if carry:
             L[:] = [max(1.0, c / 2.0) for c in L]
         elif sub is not Subroutine.LS:
-            est = estimate_l1(counting, anchor, D, LIPSCHITZ_SAMPLES, (config.seed, tau))
+            est = estimate_l1(counting, anchor, D, seed=(config.seed, tau))
             L[0] = est.value * (LIPSCHITZ_SAFETY if est.method == "sampled" else 1.0)
 
         def step(x, g, f):
@@ -85,14 +84,11 @@ def check_epoch_descent(result: RunResult, config: SloConfig) -> list[float]:
     Entries should all be >= -1e-10 on a valid run. The terminal partial
     epoch is excluded.
     """
-    starts = {}
-    for rec in result.trace:
-        if rec.iter == 0 and rec.epoch not in starts:
-            starts[rec.epoch] = rec.f_value
+    starts = {rec.epoch: rec.f_value for rec in result.trace if rec.iter == 0}
     floor = epoch_descent_floor(config)
     margins = []
     for tau in range(1, result.epochs_completed + 1):
-        if tau not in starts or (tau + 1) not in starts:
+        if not starts.keys() >= {tau, tau + 1}:
             raise ValueError(f"trace is missing the start of epoch {tau} or {tau + 1}")
         margins.append((starts[tau] - starts[tau + 1]) - floor)
     return margins

@@ -37,9 +37,9 @@ class LsParams:
     alpha: float = 1.0       # gradient-related constant
 
     def __post_init__(self):
-        if not (0 < self.sigma < 1 and 0 < self.theta < 1 and self.delta_bar > 0
+        if not (0 < self.sigma < 1 and 0 < self.theta < 1 and 0 < self.delta_bar < np.inf
                 and 0 < self.alpha <= 1):
-            raise ValueError("LsParams needs 0 < sigma < 1, 0 < theta < 1, delta_bar > 0 "
+            raise ValueError("LsParams needs 0 < sigma < 1, 0 < theta < 1, 0 < delta_bar < inf "
                              f"and 0 < alpha <= 1; got {self}")
 
 

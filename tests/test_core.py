@@ -18,6 +18,8 @@ from sloopt.problems import LinearProblem, QuadraticProblem, QuarticProblem
 def test_as_vector_shapes():
     v = as_vector([1.0, 2.0])
     assert v.dtype == np.float64 and v.shape == (2,)
+    s = as_vector(2.0)
+    assert s.dtype == np.float64 and s.tolist() == [2.0]
     with pytest.raises(ValueError):
         as_vector(np.ones((2, 2)))
 
@@ -245,6 +247,14 @@ def test_config_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP, seed=-1)
     SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP, seed=0)
+
+
+def test_config_rejects_a_seed_that_is_not_an_integer():
+    # numpy's seeding would raise TypeError only at the first sampled epoch
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP, seed=1.5)
+    SloConfig(epsilon=1e-6, radius_D=0.1, margin_d=0.0, subroutine=Subroutine.GP,
+              seed=np.int64(1))
 
 
 def test_quartic_growth_bounds_dominate_true_constants():

@@ -339,6 +339,23 @@ def test_spec_validation():
         ExperimentSpec(problem="quartic", problem_params={"tensor_d": 4})
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(methods=("gd",), budget_evals=math.nan), "rounds and budget_evals must be >= 1"),
+    (dict(methods=("bpg",), bpg_n=10, bpg_l=10.0, budget_evals=math.nan),
+     "rounds and budget_evals must be >= 1"),
+    (dict(rounds=1.5), "rounds must be an integer, got 1.5"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+], ids=["budget-nan-gd", "budget-nan-bpg", "rounds-fraction", "seed-fraction"])
+def test_spec_rejects_a_nan_budget_and_rounds_or_seed_that_are_not_integers(kw, message):
+    # each of these used to be accepted, then failed as a run error or as a TypeError
+    # inside run_experiment
+    with pytest.raises(ValueError) as info:
+        ExperimentSpec(**kw)
+    assert str(info.value) == message
+    ExperimentSpec(rounds=np.int64(2), seed=np.int64(3), budget_evals=1e5)
+    ExperimentSpec(budget_evals=math.inf)
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

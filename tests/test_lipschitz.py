@@ -74,7 +74,11 @@ def test_constant_gradient_floors_at_one():
     (lambda: estimate_l2(QuarticProblem(2), np.zeros(2), 0.0), "radius must be positive"),
     (lambda: estimate_l1(QuarticProblem(1), np.array([100.0]), math.nan), "radius must be positive"),
     (lambda: estimate_l2(QuarticProblem(1), np.array([100.0]), math.nan), "radius must be positive"),
-], ids=["one-sample", "l2-radius-zero", "l1-radius-nan", "l2-radius-nan"])
+    (lambda: estimate_l1(QuarticProblem(1), np.array([100.0]), math.inf), "radius must be finite"),
+    (lambda: estimate_l1(_NoGrowthQuadratic(2), np.zeros(2), math.inf), "radius must be finite"),
+    (lambda: estimate_l2(QuarticProblem(1), np.array([100.0]), math.inf), "radius must be finite"),
+], ids=["one-sample", "l2-radius-zero", "l1-radius-nan", "l2-radius-nan", "l1-radius-inf",
+        "l1-radius-inf-sampled", "l2-radius-inf"])
 def test_lipschitz_rejections_name_their_cause(call, message):
     with pytest.raises(ValueError) as info:
         call()

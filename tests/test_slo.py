@@ -314,9 +314,11 @@ def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch,
     events = []
 
     def logged(name, fn):
-        def run(oracle, center, radius, *rest):
-            est = fn(oracle, center, radius, *rest)
-            events.append((name, radius, *rest, est))
+        def run(oracle, center, radius, **kwargs):
+            # the anchor's gradient comes from drive's memo: each sample is one new evaluation
+            before = oracle.grad_evals
+            est = fn(oracle, center, radius, **kwargs)
+            events.append((name, radius, oracle.grad_evals - before, kwargs.get("seed"), est))
             return est
         return run
 
@@ -333,8 +335,8 @@ def test_sampled_constants_use_fixed_samples_seed_and_safety_factor(monkeypatch,
     assert res.termination is Termination.EpochBudget
     samples = config.subroutine is Subroutine.NGD
     assert [e[0] for e in events] == ["estimate_l1"] * 3 * samples
-    for i, (_, radius, n_samples, seed, est) in enumerate(events):
-        assert (radius, n_samples, seed) == (config.radius_D, 50, (5, i + 1))
+    for i, (_, radius, new_evals, seed, est) in enumerate(events):
+        assert (radius, new_evals, seed) == (config.radius_D, 50, (5, i + 1))
         assert est.method == "sampled"
     assert bool(steps) == samples
     for l1, recent in steps:

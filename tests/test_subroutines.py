@@ -166,7 +166,8 @@ def test_ls_zero_direction_rejected():
 
 @pytest.mark.parametrize("name, value", [
     ("sigma", 0.0), ("sigma", 1.0), ("sigma", float("nan")), ("theta", 0.0), ("theta", 1.0),
-    ("delta_bar", 0.0), ("delta_bar", -1.0), ("alpha", 0.0), ("alpha", 1.5)])
+    ("delta_bar", 0.0), ("delta_bar", -1.0), ("delta_bar", float("inf")), ("alpha", 0.0),
+    ("alpha", 1.5)])
 def test_ls_params_reject_constants_out_of_range(name, value):
     with pytest.raises(ValueError, match="LsParams needs"):
         LsParams(**{name: value})
