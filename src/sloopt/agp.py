@@ -57,8 +57,9 @@ class AgpRegion:
         d = norm(x - self.center)
         return d >= self.inner_radius * (1 - _BOUNDARY_TOL)
 
-    def project(self, x):
-        return project_ball(x, self.center, self.inner_radius)
+    def project(self, x, dist=None):
+        """The projection of x onto the region; dist = ||x - center|| when the caller holds it."""
+        return project_ball(x, self.center, self.inner_radius, dist)[0]
 
 
 @dataclass
@@ -122,6 +123,8 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
     from yt if z leaves the interior, else z if the gradient is too large for t
     accelerated iterations. The NC-pair search reuses the values and gradients
     the loop holds; a caller that has f_hat's gradient or value at y0 passes it in.
+    An accelerated iterate is scanned for NaN/inf only where its distance to the center is not
+    finite. ``iter_bound`` is ``_iter_bound`` at the last interior z's psi, else None.
     """
     y0 = as_vector(y0)
     if not region.is_interior(y0):
@@ -136,20 +139,24 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
     x_hist = [y0]
     y_hist = [y0]
     cap = 10_000  # refined from the theoretical bound at t = 1
-    bound_at_exit = None
+    psi = None  # of the last interior z
+    def exit_bound():
+        return None if psi is None else _iter_bound(l1_hat, alpha, psi, eps_hat)
     t = 1
     g = f_hat.gradient(y0) if grad_y0 is None else grad_y0
     x_grads, y_values = [g], [f_y0]  # grad f_hat at each x_hist[j], f_hat at each y_hist[j]
     while True:
         y_tilde = x_hist[t - 1] - g / l1_hat
-        check_finite(y_tilde, "accelerated iterate")
-        if region.is_interior(y_tilde):
+        dist = norm(y_tilde - region.center)
+        if not math.isfinite(dist):  # a finite distance has only finite entries beneath it
+            check_finite(y_tilde, "accelerated iterate")
+        if dist < region.inner_radius:
             y_hist.append(y_tilde)
         else:
-            yt = region.project(y_tilde)
+            yt = region.project(y_tilde, dist)
             y_hist.append(yt)
             if f_hat.value(yt) <= f_y0:
-                return UpgOutcome(1, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
+                return UpgOutcome(1, point_p=yt, iters_t=t, iter_bound=exit_bound())
             flag, w, f_w, exit_kind = 2, y0, f_y0, "boundary exit without descent"
             break
         yt = y_hist[t]
@@ -158,22 +165,22 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
         f_yt = f_hat.value(yt)  # next to the gradient, so the base oracle's memo serves it
         y_values.append(f_yt)
         z = yt - gy / l1_hat
-        z_interior = region.is_interior(z)
+        z_dist = norm(z - region.center)
+        z_interior = z_dist < region.inner_radius
         if z_interior:
             dz = z - y0
             f_z = f_hat.value(z)
             psi = f_y0 - f_z + 0.5 * alpha * float(dz.dot(dz))
-            bound_at_exit = _iter_bound(l1_hat, alpha, psi, eps_hat)
             if t == 1:
-                cap = max(10_000, int(10 * bound_at_exit) + 1)
+                cap = max(10_000, int(10 * _iter_bound(l1_hat, alpha, psi, eps_hat)) + 1)
         if not f_yt <= f_y0:  # a NaN value routes like a rise
             w, f_w = y0, f_y0
         elif not z_interior:
-            w, f_w = region.project(z), None
-        elif float(gy.dot(gy)) > 2.0 * l1_hat * psi * math.exp(-t / math.sqrt(kappa)):
+            w, f_w = region.project(z, z_dist), None
+        elif (gy_sq := float(gy.dot(gy))) > 2.0 * l1_hat * psi * math.exp(-t / math.sqrt(kappa)):
             w, f_w = z, f_z
-        elif norm(gy) <= math.sqrt(eps_hat):
-            return UpgOutcome(5, point_p=yt, iters_t=t, iter_bound=bound_at_exit)
+        elif math.sqrt(gy_sq) <= math.sqrt(eps_hat):  # sqrt(gy_sq) is norm(gy)
+            return UpgOutcome(5, point_p=yt, iters_t=t, iter_bound=exit_bound())
         else:
             t += 1
             if t > cap:
@@ -185,7 +192,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
             x_grads.append(g)
             continue
         if region.on_boundary(w):
-            return UpgOutcome(3, point_p=w, iters_t=t, iter_bound=bound_at_exit)
+            return UpgOutcome(3, point_p=w, iters_t=t, iter_bound=exit_bound())
         flag, exit_kind = 4, "progress certificate failed"
         break
     # flags 2 and 4: an NC pair among the iterates so far, tested against w
@@ -193,7 +200,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
     if pair is None:
         raise AgpError(f"{exit_kind} but no NC pair found; l1_hat is likely underestimated")
     return UpgOutcome(flag, nc_u=pair[0], nc_v=pair[1], y_history=[np.array(v) for v in y_hist],
-                      iters_t=t, iter_bound=bound_at_exit)
+                      iters_t=t, iter_bound=exit_bound())
 
 
 def a_agp(oracle: ObjectiveOracle, xbar, l1, l2, epoch_anchor, radius_D, epsilon, grad=None,

@@ -44,20 +44,25 @@ class ObjectiveOracle:
     dim: int
     growth1 = None
     growth2 = None
-    _memo = (None, None)  # (point bytes, intermediates) of the latest point
+    _memo = ((None, None),) * 2  # (point bytes, intermediates) of the latest two points
 
     def _at(self, x, compute):
-        """``(v, compute(v))`` for v = x checked 1-D, finite and ``dim`` long, memoized by its bytes,
-        so value and gradient at one point share checks and work. compute returns no view of v."""
+        """``(v, compute(v))`` for v = x checked 1-D, finite and ``dim`` long, memoized by its bytes
+        for the latest two points, so value and gradient at one point share checks and work, also
+        when another point was evaluated between them. compute returns no view of v."""
         v = np.asarray(x, dtype=float)
         key = v.tobytes()
-        if v.ndim == 1 and key == self._memo[0]:
-            return v, self._memo[1]
+        if v.ndim == 1:
+            (latest, out), (older, out_older) = self._memo
+            if key == latest:
+                return v, out
+            if key == older:
+                return v, out_older
         v = check_finite(v) if v.ndim == 1 else as_vector(v)
         if v.size != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {v.size}")
         out = compute(v)
-        self._memo = (key, out)
+        self._memo = ((key, out), self._memo[0])
         return v, out
 
     def value(self, x: np.ndarray) -> float:
@@ -87,6 +92,7 @@ class CountingOracle(ObjectiveOracle):
         self.growth1 = base.growth1
         self.growth2 = base.growth2
         self.grad_evals, self.value_evals, self.grad_norm = 0, 0, math.nan
+        self._memo = (None, None)  # (point bytes, gradient): one entry, for drive's stall test
 
     def value(self, x):
         self.value_evals += 1
@@ -211,11 +217,12 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def project_ball(x: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
-    """Radial projection onto the closed ball B(center, r); x itself when inside."""
+def project_ball(x: np.ndarray, center: np.ndarray, r: float, dist: float | None = None):
+    """``(p, dist)``: p the radial projection of x onto the closed ball B(center, r), x itself when
+    inside, and dist = ||x - center||, which a caller that holds it passes in."""
     offset = x - center
-    dist = norm(offset)
-    return x if dist <= r else center + offset * (r / dist)
+    dist = norm(offset) if dist is None else dist
+    return (x if dist <= r else center + offset * (r / dist)), dist
 
 
 def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,22 +52,30 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_
     x+ certifies ``f_x - f(x+) >= ||x+ - x||^2 / (2 eta)``, one value call per
     trial, and ``(x+, eta)`` is returned; the descent lemma passes the test
     once 1/eta bounds the gradient-Lipschitz constant on the segment.
+    center is scanned for NaN/inf entries; x and x+ are scanned only when their distance to
+    center is not finite, since a finite one has only finite entries beneath it.
     """
-    x = as_vector(x)
+    x = np.asarray(x, dtype=float)
+    x = x if x.ndim == 1 else as_vector(x)  # its finiteness is read off dist below
     center = as_vector(center)
+    dist = norm(x - center)
+    if not math.isfinite(dist):
+        check_finite(x)
     if not (eta > 0 and r > 0):
         raise ValueError("eta and r must be positive")
-    if norm(x - center) > r * (1 + 1e-12):
+    if dist > r * (1 + 1e-12):
         raise ValueError("a_gp requires x inside B(center, r)")
     g = oracle.gradient(x) if grad is None else grad
-    if f_x is None:
-        return check_finite(project_ball(x - eta * g, center, r), "a_gp output")
     for _ in range(MAX_BACKTRACKS + 1):
-        out = project_ball(x - eta * g, center, r)
-        move = out - x
-        if f_x - oracle.value(out) >= move.dot(move) / (2.0 * eta):
-            return check_finite(out, "a_gp output"), eta
-        eta /= 2.0
+        out, dist = project_ball(x - eta * g, center, r)
+        if f_x is not None:
+            move = out - x
+            if not f_x - oracle.value(out) >= move.dot(move) / (2.0 * eta):
+                eta /= 2.0
+                continue
+        if not math.isfinite(dist):  # else x+ is finite, and so is its projection toward center
+            check_finite(out, "a_gp output")
+        return out if f_x is None else (out, eta)
     raise BacktrackBudgetError(2.0 * eta, "descent")  # the last eta tried
 
 
@@ -92,12 +101,16 @@ def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x
     The search tries index ``j_start`` first: if it passes, it tries j_start - 1, ... while
     they pass; otherwise j_start + 1, ... until one passes. Returns (new point, accepted
     stepsize, accepted index j). The step length ||out - x|| never exceeds delta_bar.
+    direction is scanned for NaN/inf entries only when its norm is not finite.
     """
     if not (type(j_start) is int and 0 <= j_start <= MAX_BACKTRACKS):
         raise ValueError(f"j_start must be an int in [0, {MAX_BACKTRACKS}], got {j_start!r}")
     x = as_vector(x)
-    d = as_vector(direction)
+    d = np.asarray(direction, dtype=float)
+    d = d if d.ndim == 1 else as_vector(d)
     dnorm = norm(d)
+    if not math.isfinite(dnorm):  # a finite norm has only finite entries beneath it
+        check_finite(d)
     if dnorm == 0.0:
         raise DirectionError("direction must be nonzero")
     g = oracle.gradient(x) if grad is None else grad

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sloopt.agp as agp_mod
 import sloopt.slo as slo_mod
 from sloopt import harness
 from sloopt.agp import (AgpError, AgpRegion, AugmentedOracle, UpgOutcome, a_agp, agp_upg,
@@ -329,6 +330,72 @@ def test_upg_routes_a_nan_value_like_a_rise():
     with pytest.raises(AgpError, match="progress certificate failed"):
         agp_upg(NanAwayFromStart(y0), AgpRegion(np.zeros(2), 5.0), y0,
                 eps_hat=1e-6, l1_hat=1.0, alpha=0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("i", [0, 2, 4])
+def test_upg_rejects_a_non_finite_accelerated_iterate(bad, i):
+    # the iterate y0 - g / l1_hat gets the bad entry from g; its distance to the finite center
+    # is then not finite, and only then is it scanned
+    g = np.full(5, 0.1)
+    g[i] = bad
+    f_hat = CallLog(QuadraticProblem(5))
+    with pytest.raises(EvaluationError,
+                       match="^accelerated iterate contains NaN or infinite entries$"):
+        agp_upg(f_hat, AgpRegion(np.zeros(5), 1.0), np.full(5, 0.1), 1e-8, 1.0, 0.5, grad_y0=g,
+                f_y0=0.025)
+    assert (f_hat.points, f_hat.grads) == ([], 0)
+
+
+def test_upg_on_an_accelerated_iterate_whose_distance_overflows():
+    # finite entries of -1e200: numpy warns, the distance is inf, the scan passes, and the
+    # projection by the factor 1/inf = 0 is the center, which descends: a flag-1 exit
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        out = agp_upg(QuadraticProblem(5), AgpRegion(np.zeros(5), 1.0), np.full(5, 0.1), 1e-8,
+                      1.0, 0.5, grad_y0=np.full(5, 1e200))
+    assert (out.flag, out.point_p.tobytes(), out.iters_t, out.iter_bound) == (
+        1, np.zeros(5).tobytes(), 1, None)
+
+
+class Sequence(CallLog):
+    """A CallLog that also records the order of the calls: ("g", x) and ("v", x, f(x))."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.calls = []
+
+    def value(self, x):
+        f = super().value(x)
+        self.calls.append(("v", np.array(x), f))
+        return f
+
+    def gradient(self, x):
+        self.calls.append(("g", np.array(x)))
+        return super().gradient(x)
+
+
+@pytest.mark.parametrize("f, radius, y0, alpha, flag, n_interior", [
+    (Concave1D(1.0), 0.3, [0.01], 0.05, 1, 3),
+    (Concave1D(1.0), 0.3, [0.005], 0.05, 3, 3),
+    (Concave1D(1.0), 0.3, [0.1], 0.05, 3, 0),  # z leaves at t = 1: no bound
+    (random_spd_quadratic(np.random.default_rng(1), 3, 0.6, 0.9), 50.0, [0.2, -0.1, 0.3], 0.5,
+     5, 5)])
+def test_upg_exit_bound_is_read_from_the_last_interior_gradient_step(f, radius, y0, alpha,
+                                                                      flag, n_interior):
+    # f_hat is valued at an interior gradient step z right after its value at yt; every other
+    # value call follows a gradient call, or is the first one, at y0
+    f_hat, y0, eps_hat = Sequence(f), np.array(y0), 1e-8
+    out = agp_upg(f_hat, AgpRegion(np.zeros(f.dim), radius), y0, eps_hat, 1.0, alpha)
+    f_y0 = f_hat.calls[0][2]
+    zs = [c for prev, c in zip(f_hat.calls, f_hat.calls[1:]) if prev[0] == c[0] == "v"]
+    assert (out.flag, len(zs)) == (flag, n_interior)
+    if not zs:
+        assert out.iter_bound is None
+        return
+    _, z, f_z = zs[-1]
+    psi = f_y0 - f_z + 0.5 * alpha * float((z - y0) @ (z - y0))
+    assert out.iter_bound == agp_mod._iter_bound(1.0, alpha, psi, eps_hat)
 
 
 def test_upg_rejects_exterior_start():

@@ -246,6 +246,43 @@ def test_ls_on_a_hard_planted_tensor_makes_few_value_calls():
     assert res.value_evals < 20_000
 
 
+def test_ls_on_the_autoencoder_runs_the_forward_pass_once_per_point():
+    from sloopt import harness
+
+    # the net-ae benchmark instance, round 1 at seed 7: where a search accepts a shorter step
+    # after the next longer trial failed, the oracle's memo still holds the accepted point
+    spec = harness.ExperimentSpec(problem="autoencoder", methods=("ls",), init_c=0.1, seed=7)
+    prob, _ = harness.build_problem(spec)
+    points = _log_calls(prob, "_forward")
+    res = spec.runners["ls"](prob, uniform_init(prob.dim, spec.init_c, spec.seed + 1))
+    assert res.termination is Termination.GradientTolerance and res.grad_evals > 1000
+    keys = [p.tobytes() for p in points]
+    assert len(keys) == len(set(keys))
+
+
+def test_pgd_scans_the_anchor_and_each_new_point_once_per_step(monkeypatch):
+    import sloopt.agp
+    import sloopt.core
+    import sloopt.subroutines
+    from sloopt import harness
+
+    # the quartic-50 benchmark instance, round 1 at seed 7. a_gp reads the finiteness of x and
+    # x+ off their distances to the anchor, so a step scans the anchor and, in the oracle's
+    # _at, the new point. Once per run drive and _at scan the start, and once per epoch
+    # estimate_l1 scans the anchor.
+    scans, check_finite = [], sloopt.core.check_finite
+    for module in (sloopt.core, sloopt.subroutines, sloopt.agp):
+        monkeypatch.setattr(module, "check_finite",
+                            lambda v, what="vector": scans.append(what) or check_finite(v, what))
+    spec = harness.ExperimentSpec(problem="quartic", epsilon=1e-10, margin=0.01, init_c=1.0,
+                                  seed=7, budget_evals=200_000, problem_params={"quartic_dim": 50})
+    prob, _ = harness.build_problem(spec)
+    res = spec.runners["pgd"](prob, uniform_init(prob.dim, spec.init_c, spec.seed + 1))
+    steps, epochs = len(res.trace) - 1, res.epochs_completed + 1
+    assert res.termination is Termination.GradientTolerance and steps > 1000
+    assert len(scans) <= 2 * steps + 2 + epochs
+
+
 def test_eval_budget_is_a_hard_cap_inside_the_agp_inner_loop(monkeypatch):
     import sloopt.slo as slo_mod
 

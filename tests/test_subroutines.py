@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sloopt.core import CountingOracle, ObjectiveOracle
+from sloopt.core import CountingOracle, EvaluationError, ObjectiveOracle, project_ball
 from sloopt.problems import LinearProblem, QuadraticProblem, QuarticProblem
 from sloopt.subroutines import (MAX_BACKTRACKS, BacktrackBudgetError, DirectionError,
                                 LsParams, a_gp, a_ls, a_ng)
@@ -270,3 +270,101 @@ def test_ls_rejects_a_start_index_off_the_grid(j_start):
     with pytest.raises(ValueError, match=rf"j_start must be an int in \[0, {MAX_BACKTRACKS}\], got"):
         a_ls(oracle, np.array([1.0]), np.array([-1.0]), LsParams(), j_start=j_start)
     assert oracle.value_evals == 0
+
+
+# a_gp reads the finiteness of x and of x+ off their distances to the center, and a_ls that of
+# the direction off its norm; a scan runs only when that number is not finite. An oracle
+# without ``_at`` (``_Quadratic``) makes no check of its own that could hide a missing scan.
+BAD = [(bad, i) for bad in (math.nan, math.inf, -math.inf) for i in (0, 2, 4)]
+
+
+def _with(bad, i, base=None):
+    v = np.full(5, 0.1) if base is None else base.copy()
+    v[i] = bad
+    return v
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("certified", [False, True], ids=["analytic", "certified"])
+@pytest.mark.parametrize("bad, i", BAD)
+def test_gp_rejects_a_non_finite_start_before_any_evaluation(certified, bad, i):
+    oracle = CountingOracle(_Quadratic(np.eye(5)))
+    with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
+        a_gp(oracle, _with(bad, i), np.zeros(5), 0.5, 1.0, grad=np.full(5, 0.1),
+             f_x=0.0 if certified else None)
+    assert (oracle.grad_evals, oracle.value_evals) == (0, 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("i", [0, 2, 4])
+def test_gp_rejects_a_nan_step(i):
+    with pytest.raises(EvaluationError, match="^a_gp output contains NaN or infinite entries$"):
+        a_gp(_Quadratic(np.eye(5)), np.zeros(5), np.zeros(5), 0.5, 1.0,
+             grad=_with(math.nan, i))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad, i", BAD)
+def test_ls_rejects_a_non_finite_direction_before_any_evaluation(bad, i):
+    oracle = CountingOracle(_Quadratic(np.eye(5)))
+    with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
+        a_ls(oracle, np.full(5, 0.1), _with(bad, i, np.full(5, -0.1)), LsParams(),
+             grad=np.full(5, 0.1), f_x=0.025)
+    assert (oracle.grad_evals, oracle.value_evals) == (0, 0)
+
+
+def test_gp_and_ls_on_finite_inputs_whose_distance_overflows():
+    # ||(1e200, ...)||^2 overflows: numpy warns, the distance is inf, and the scan that follows
+    # passes, so each call raises or returns what the unfolded checks gave
+    huge, zero = np.full(5, 1e200), np.zeros(5)
+    for f_x in (None, 0.0):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            with pytest.raises(ValueError, match=r"^a_gp requires x inside B\(center, r\)$"):
+                a_gp(quad(5), huge, zero, 0.5, 1.0, grad=zero, f_x=f_x)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            out = a_gp(quad(5), zero, zero, 1.0, 1.0, grad=-huge, f_x=f_x)  # x+ = huge
+        # projecting by the factor 1/inf = 0 returns the center
+        assert _bits_of(out) == ((zero.tobytes(), 1.0) if f_x is not None else zero.tobytes())
+    x = np.ones(5)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        out, delta, j = a_ls(quad(5), x, -huge, LsParams(), grad=x, f_x=2.5)
+    assert (out.tobytes(), delta, j) == (x.tobytes(), 0.0, 0)  # the cap 1/||d|| is 0
+
+
+def _bits_of(out):
+    return (out[0].tobytes(), out[1]) if isinstance(out, tuple) else out.tobytes()
+
+
+def _gp_reference(oracle, x, center, eta, r, g, f_x):
+    """The step a_gp makes, from its definition: halve eta until x+ certifies descent; None
+    when no halving does."""
+    for _ in range(MAX_BACKTRACKS + 1):
+        out = project_ball(x - eta * g, center, r)[0]
+        if f_x is None:
+            return out
+        move = out - x
+        if f_x - oracle.value(out) >= move.dot(move) / (2.0 * eta):
+            return out, eta
+        eta /= 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+           st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),   # center
+           st.lists(unit, min_size=n, max_size=n),                   # direction of x from it
+           st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))),  # gradient
+       st.floats(0.05, 3.0), st.sampled_from(["inside", "on", "just outside"]),
+       st.floats(0.0, 1.0), st.floats(1e-3, 10.0), st.booleans())
+def test_gp_returns_the_projected_step_bit_for_bit(vectors, r, where, frac, eta, certified):
+    center, u, g = (np.array(v) for v in vectors)
+    u = u / n if (n := np.linalg.norm(u)) > 0 else np.eye(u.size)[0]
+    scale = {"inside": frac, "on": 1.0, "just outside": 1 + 5e-13}[where]
+    x = center + (r * scale) * u
+    oracle = _Quadratic(np.eye(x.size))
+    f_x = oracle.value(x) if certified else None
+    expect = _gp_reference(oracle, x, center, eta, r, g, f_x)
+    if expect is None:  # g is no gradient of f here, and no halving certified the step
+        with pytest.raises(BacktrackBudgetError):
+            a_gp(oracle, x, center, eta, r, grad=g, f_x=f_x)
+    else:
+        assert _bits_of(a_gp(oracle, x, center, eta, r, grad=g, f_x=f_x)) == _bits_of(expect)
