@@ -4,11 +4,12 @@ gradient with the polynomial adaptation h(x) = ||x||^n/n + ||x||^2/2."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, RunResult, as_vector, drive, norm
+from .core import ObjectiveOracle, RunResult, as_vector, check_finite, drive, norm
 
 
 @dataclass
@@ -32,15 +33,29 @@ def _check_bpg(n, l_relative):
 def bpg_subproblem(g, l_relative, n, eps0):
     """Root of p'(rho) = -|g|^2 + L|g|^n rho^(n-1) + L|g|^2 rho by Newton's method
     from above. p' is increasing and convex for rho > 0, so the iterates fall to the
-    root and stop a few ulps from it: within eps0/2 for any eps0 above that."""
+    root and stop a few ulps from it: within eps0/2 for any eps0 above that.
+
+    Where |g|^2 underflows below the smallest normal float, for a g != 0, |g| is taken
+    from g / max|g| and the root from p'(rho)/|g|^2 = -1 + L|g|^(n-2) rho^(n-1) + L rho,
+    which has the same root. g is scanned for NaN/inf entries only when |g| is not finite.
+    """
     _check_bpg(n, l_relative)
-    gn = norm(as_vector(g))
-    if gn == 0.0:
+    g = np.asarray(g, dtype=float)
+    g = g if g.ndim == 1 else as_vector(g)  # its finiteness is read off gn below
+    gn = norm(g)
+    if not math.isfinite(gn):  # a finite norm has only finite entries beneath it
+        check_finite(g)
+    L, g2 = float(l_relative), gn ** 2
+    if g2 >= sys.float_info.min:
+        lgn, lg2 = L * gn ** n, L * g2
+    elif g.any():
+        scale = float(np.abs(g).max())
+        gn = scale * norm(g / scale)
+        g2, lgn, lg2 = 1.0, L * gn ** (n - 2), L
+    else:
         raise ValueError("bpg_subproblem requires g != 0")
-    L = float(l_relative)
-    g2, lgn, lg2 = gn ** 2, L * gn ** n, L * gn ** 2
-    # each term alone reaches |g|^2 at its point, so the root lies in [rho/2, rho];
-    # where L|g|^n underflows to 0, the linear term alone sets the root
+    # each term alone reaches g2 at its point, so the root lies in [rho/2, rho];
+    # where lgn underflows to 0, the linear term alone sets the root
     rho = g2 / lg2 if lgn == 0.0 else min(g2 / lg2, (g2 / lgn) ** (1.0 / (n - 1)))
     for _ in range(100):
         slope = (n - 1) * lgn * rho ** (n - 2) + lg2
@@ -52,12 +67,17 @@ def bpg_subproblem(g, l_relative, n, eps0):
 
 
 def bpg_step(oracle: ObjectiveOracle, x, config: BpgConfig, grad=None):
-    x = as_vector(x)
+    """The BPG point -rho g for the composite gradient g = grad f(x) - L grad h(x), and 0
+    where g = 0. x is scanned for NaN/inf entries only when ||x|| is not finite."""
+    x = np.asarray(x, dtype=float)
+    x = x if x.ndim == 1 else as_vector(x)  # its finiteness is read off xn below
     n, L = config.poly_degree_n, config.l_relative
     xn = norm(x)
+    if not math.isfinite(xn):
+        check_finite(x)
     grad_h = (xn ** (n - 2) + 1.0) * x
     g = (oracle.gradient(x) if grad is None else grad) - L * grad_h
-    if not np.any(g):
+    if not g.any():
         return np.zeros_like(x)
     rho = bpg_subproblem(g, L, n, 1e-16)
     return -rho * g

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, as_vector, check_finite, norm, project_ball
+from .core import EvaluationError, ObjectiveOracle, as_vector, check_finite, norm, project_ball
 
 MAX_BACKTRACKS = 200  # the cap on failed tests of a_gp and a_agp, and on a_ls's grid index
 
@@ -80,17 +80,29 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_
 
 
 def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):
-    """GD step when the gradient is small, else a step of length d along -grad."""
-    x = as_vector(x)
+    """GD step when the gradient is small, else a step of length d along -grad.
+
+    Given grad with a finite norm, the step (1/l1 or d/||grad||) * grad is finite, so one scan
+    of the output covers x too; x is scanned, and raises first, only when that scan fails.
+    Without grad, or when ||grad|| is not finite, x is scanned before anything is evaluated.
+    """
+    x = np.asarray(x, dtype=float)
+    x = x if x.ndim == 1 and grad is not None else as_vector(x)
     if not (1 <= l1 < np.inf and d > 0):
         raise ValueError("require a finite l1 >= 1 and d > 0")
     g = oracle.gradient(x) if grad is None else grad
     gnorm = norm(g)
+    if not math.isfinite(gnorm):
+        check_finite(x)
     if gnorm <= l1 * d:
         out = x - g / l1
     else:
         out = x - (d / gnorm) * g
-    return check_finite(out, "a_ng output")
+    try:
+        return check_finite(out, "a_ng output")
+    except EvaluationError:
+        check_finite(x)
+        raise
 
 
 def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x=None,

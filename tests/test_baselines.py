@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sloopt.baselines import (BpgConfig, bpg_step, bpg_subproblem, gd_fixed,
                               run_bpg)
-from sloopt.core import Termination, as_vector, norm
+from sloopt.core import EvaluationError, ObjectiveOracle, Termination, as_vector, norm
 from sloopt.harness import ExperimentSpec, build_problem, run_experiment
 from sloopt.problems import (QuadraticProblem, QuarticProblem,
                              generate_planted_tensor, uniform_init)
@@ -156,6 +156,42 @@ def test_subproblem_rejects_zero_gradient():
         bpg_subproblem(np.zeros(2), 1.0, 4, 1e-16)
 
 
+def normalized_bisection_root(gn, L, n):
+    """Root of p'(rho)/|g|^2 = -1 + L gn^(n-2) rho^(n-1) + L rho, bisected to adjacent floats."""
+
+    def dp(rho):
+        return -1.0 + L * gn ** (n - 2) * rho ** (n - 1) + L * rho
+
+    lo, hi = 0.0, 1.0
+    while dp(hi) < 0:
+        hi *= 2
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if dp(mid) < 0 else (lo, mid)
+    return hi
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("g, L, n", [
+    ([1e-200, 0.0], 1.0, 4), ([3e-170, -4e-170], 0.3, 2), ([5e-324], 1.0, 3),
+    ([2.5e-162], 1.7, 4), ([3e-162, 1e-162], 1.3, 2), ([1e-160, 1e-160], 2.0, 10)])
+def test_subproblem_solves_a_gradient_whose_square_underflows(g, L, n):
+    # g.g is 0 for the first three and a subnormal of a few significant bits for the others,
+    # which put the root 15% off when the equation was scaled by |g|^2
+    gn = math.hypot(*g)
+    rho = bpg_subproblem(np.array(g), L, n, 1e-16)
+    ref = normalized_bisection_root(gn, L, n)
+    assert math.isfinite(rho) and abs(rho - ref) <= 4 * math.ulp(ref)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bpg_step_near_the_origin_where_the_gradient_square_underflows():
+    # f = ||x||^4/4, n = 4, L = 1: grad f(x) and ||x||^2 underflow, so g = -x and the root is 1
+    x = np.array([1e-170, 0.0])
+    out = bpg_step(QuarticProblem(2), x, BpgConfig(4, 1.0))
+    assert np.array_equal(out, x)
+    assert bpg_subproblem(-x, 1.0, 4, 1e-16) == normalized_bisection_root(1e-170, 1.0, 4) == 1.0
+
+
 def test_bpg_step_hand_example():
     # f = x^4/4, n = 4, L = 1, x = 1: grad_h = 2, g = 1 - 2 = -1
     p = QuarticProblem(1)
@@ -272,3 +308,127 @@ def test_bpg_config_validation():
     for l_relative in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="^l_relative must be positive$"):
             BpgConfig(4, l_relative)
+
+
+
+# bpg_step reads the finiteness of x off ||x||, and bpg_subproblem that of g off |g|; a scan
+# runs only when that norm is not finite. The oracle below makes no check of its own that could
+# hide a missing scan, and records every call.
+BAD = [(bad, i) for bad in (math.nan, math.inf, -math.inf) for i in (0, 2, 4)]
+
+
+def _with(bad, i):
+    v = np.full(5, 0.1)
+    v[i] = bad
+    return v
+
+
+class _Recorded(ObjectiveOracle):
+    """f(x) = ||x||^2/2, with no check of x."""
+
+    def __init__(self, dim):
+        self.dim, self.calls = dim, []
+
+    def value(self, x):
+        self.calls.append("value")
+        return 0.5 * float(x @ x)
+
+    def gradient(self, x):
+        self.calls.append("gradient")
+        return 1.0 * x
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("with_grad", [False, True], ids=["oracle", "grad"])
+@pytest.mark.parametrize("bad, i", BAD)
+def test_bpg_step_rejects_a_non_finite_point_before_any_evaluation(with_grad, bad, i):
+    oracle = _Recorded(5)
+    with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
+        bpg_step(oracle, _with(bad, i), BpgConfig(4, 1.0),
+                 grad=np.full(5, 0.1) if with_grad else None)
+    assert oracle.calls == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("through_step", [False, True], ids=["subproblem", "step"])
+@pytest.mark.parametrize("bad, i", BAD)
+def test_bpg_rejects_a_non_finite_gradient(through_step, bad, i):
+    with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
+        if through_step:  # g = grad - L grad h(x) has the bad entry of grad
+            bpg_step(_Recorded(5), np.full(5, 0.1), BpgConfig(4, 1.0), grad=_with(bad, i))
+        else:
+            bpg_subproblem(_with(bad, i), 1.0, 4, 1e-16)
+
+
+def test_bpg_on_finite_inputs_whose_norm_overflows():
+    # ||(1e200, ...)||^2 overflows: numpy warns, the norm is inf, and the scan that follows
+    # passes, so each call raises or returns what the unfolded scans gave
+    huge = np.full(5, 1e200)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        # ||x||^2 x is inf, and so is the g handed to bpg_subproblem
+        with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
+            bpg_step(_Recorded(5), huge, BpgConfig(4, 1.0), grad=np.zeros(5))
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        rho = bpg_subproblem(huge, 1.0, 4, 1e-16)  # |g|^2 = inf, so the start is inf/inf
+    assert math.isnan(rho)
+
+
+def bpg_step_reference(oracle, x, config, grad=None):
+    """bpg_step with bpg_subproblem's Newton iteration inlined, as both were written when they
+    scanned x and g in full: the bit-for-bit reference away from underflow."""
+    x = as_vector(x)
+    n, L = config.poly_degree_n, config.l_relative
+    xn = norm(x)
+    g = (oracle.gradient(x) if grad is None else grad) - L * ((xn ** (n - 2) + 1.0) * x)
+    if not np.any(g):
+        return np.zeros_like(x)
+    gn = norm(as_vector(g))
+    g2, lgn, lg2 = gn ** 2, L * gn ** n, L * gn ** 2
+    rho = g2 / lg2 if lgn == 0.0 else min(g2 / lg2, (g2 / lgn) ** (1.0 / (n - 1)))
+    while (lower := rho - (-g2 + lgn * rho ** (n - 1) + lg2 * rho)
+           / ((n - 1) * lgn * rho ** (n - 2) + lg2)) < rho:
+        rho = lower
+    return -rho * g
+
+
+def _no_tiny(bound):  # entries 0 or above 1e-100 in size keep g = 0 or |g|^2 normal
+    return st.floats(-bound, bound).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+           st.lists(_no_tiny(3.0), min_size=d, max_size=d),     # x
+           st.lists(_no_tiny(50.0), min_size=d, max_size=d))),  # grad, when given
+       st.sampled_from([2, 3, 4, 6, 10]), st.floats(1e-3, 1e3), st.booleans())
+@example(vectors=([0.0, 0.0], [0.0, 0.0]), n=4, L=1.0, with_grad=False)
+@example(vectors=([1.0], [3.0]), n=2, L=1.0, with_grad=True)  # g = 3 - 2 = 1
+def test_bpg_step_returns_the_reference_bits(vectors, n, L, with_grad):
+    x, grad = (np.array(v) for v in vectors)
+    oracle, cfg = QuarticProblem(x.size), BpgConfig(n, L)
+    given_grad = grad if with_grad else None
+    expect = bpg_step_reference(oracle, x, cfg, given_grad)
+    assert bpg_step(oracle, x, cfg, grad=given_grad).tobytes() == expect.tobytes()
+
+
+def test_bpg_scans_each_new_point_once_per_step(monkeypatch):
+    import sloopt.agp
+    import sloopt.baselines
+    import sloopt.core
+    import sloopt.subroutines
+
+    # the quartic-50 benchmark instance, round 1 at seed 7. bpg_step reads the finiteness of x
+    # off ||x||, bpg_subproblem that of g off |g|, and the oracle's gradients are checked through
+    # their norms, so a step scans only the new point, in the oracle's _at. Once per run drive
+    # and _at scan the start.
+    scans, check_finite = [], sloopt.core.check_finite
+    for module in (sloopt.core, sloopt.baselines, sloopt.subroutines, sloopt.agp):
+        monkeypatch.setattr(module, "check_finite",
+                            lambda v, what="vector": scans.append(what) or check_finite(v, what))
+    spec = ExperimentSpec(problem="quartic", methods=("bpg",), epsilon=1e-10, margin=0.01,
+                          init_c=1.0, seed=7, budget_evals=200_000, bpg_n=4, bpg_l=1.0,
+                          problem_params={"quartic_dim": 50})
+    prob, _ = build_problem(spec)
+    res = spec.runners["bpg"](prob, uniform_init(prob.dim, spec.init_c, spec.seed + 1))
+    steps = len(res.trace) - 1
+    assert res.termination is Termination.GradientTolerance and steps > 1000
+    assert len(scans) <= steps + 2

@@ -283,6 +283,30 @@ def test_pgd_scans_the_anchor_and_each_new_point_once_per_step(monkeypatch):
     assert len(scans) <= 2 * steps + 2 + epochs
 
 
+def test_ngd_scans_each_new_point_twice_per_step(monkeypatch):
+    import sloopt.agp
+    import sloopt.core
+    import sloopt.subroutines
+    from sloopt import harness
+
+    # the quartic-50 benchmark instance, round 1 at seed 7. Given the gradient, whose norm
+    # checks it, a_ng scans only its output, and the oracle's _at scans that point again. Once
+    # per run drive and _at scan the start, and once per epoch estimate_l1 scans the anchor.
+    scans, check_finite = [], sloopt.core.check_finite
+    for module in (sloopt.core, sloopt.subroutines, sloopt.agp):
+        monkeypatch.setattr(module, "check_finite",
+                            lambda v, what="vector": scans.append(what) or check_finite(v, what))
+    spec = harness.ExperimentSpec(problem="quartic", methods=("ngd",), epsilon=1e-10,
+                                  margin=0.01, init_c=1.0, seed=7, budget_evals=200_000,
+                                  problem_params={"quartic_dim": 50})
+    prob, _ = harness.build_problem(spec)
+    res = spec.runners["ngd"](prob, uniform_init(prob.dim, spec.init_c, spec.seed + 1))
+    steps, epochs = len(res.trace) - 1, res.epochs_completed + 1
+    assert res.termination is Termination.GradientTolerance and steps > 1000
+    assert scans.count("a_ng output") == steps
+    assert len(scans) <= 2 * steps + epochs + 2
+
+
 def test_eval_budget_is_a_hard_cap_inside_the_agp_inner_loop(monkeypatch):
     import sloopt.slo as slo_mod
 

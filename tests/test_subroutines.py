@@ -368,3 +368,54 @@ def test_gp_returns_the_projected_step_bit_for_bit(vectors, r, where, frac, eta,
             a_gp(oracle, x, center, eta, r, grad=g, f_x=f_x)
     else:
         assert _bits_of(a_gp(oracle, x, center, eta, r, grad=g, f_x=f_x)) == _bits_of(expect)
+
+
+# a_ng scans x before anything is evaluated when it has no grad, or one whose norm is not finite;
+# given a grad with a finite norm, it scans only its output, and x only when that scan fails
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", [1.0, 1e-3], ids=["gd-step", "normalized-step"])
+@pytest.mark.parametrize("with_grad", [False, True], ids=["oracle", "grad"])
+@pytest.mark.parametrize("bad, i", BAD)
+def test_ng_rejects_a_non_finite_start_before_any_evaluation(with_grad, d, bad, i):
+    oracle = CountingOracle(_Quadratic(np.eye(5)))
+    with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
+        a_ng(oracle, _with(bad, i), 1.0, d, grad=np.full(5, 0.1) if with_grad else None)
+    assert (oracle.grad_evals, oracle.value_evals) == (0, 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad, i", BAD)
+def test_ng_scans_the_start_first_when_the_gradient_is_not_finite(bad, i):
+    # ||grad|| = inf would make the step (d/inf) * inf = nan, with numpy's invalid-value warning
+    with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
+        a_ng(_Quadratic(np.eye(5)), _with(bad, i), 1.0, 1e-3, grad=_with(math.inf, 4 - i))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("i", [0, 2, 4])
+def test_ng_rejects_a_nan_gradient_in_its_output(i):
+    # ||grad|| = nan takes the normalized branch, whose step (d/nan) * grad is nan
+    with pytest.raises(EvaluationError, match="^a_ng output contains NaN or infinite entries$"):
+        a_ng(_Quadratic(np.eye(5)), np.full(5, 0.1), 1.0, 1.0, grad=_with(math.nan, i))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_ng_rejects_an_infinite_gradient_in_its_output(bad):
+    # ||grad|| = inf makes the step (d/inf) * grad, and 0 * inf is nan
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in multiply"):
+        with pytest.raises(EvaluationError, match="^a_ng output contains NaN or infinite entries$"):
+            a_ng(_Quadratic(np.eye(5)), np.full(5, 0.1), 1.0, 1.0, grad=_with(bad, 2))
+
+
+def test_ng_on_finite_inputs_whose_norm_or_step_overflows():
+    huge, zero = np.full(5, 1e200), np.zeros(5)
+    # ||grad|| = inf: the step d/inf * grad is 0
+    for x in (zero, huge):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            assert a_ng(quad(5), x, 1.0, 1.0, grad=-huge).tobytes() == x.tobytes()
+    # d = inf keeps the GD step, and x - grad = 2e308 overflows
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(EvaluationError, match="^a_ng output contains NaN or infinite entries$"):
+            a_ng(quad(5), np.full(5, 1e308), 1.0, math.inf, grad=np.full(5, -1e308))
+    assert [str(w.message) for w in record] == ["overflow encountered in dot",
+                                                "overflow encountered in subtract"]
