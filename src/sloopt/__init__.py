@@ -9,15 +9,14 @@ from .core import (CountingOracle, ObjectiveOracle, RunResult, SloConfig,
 from .harness import ExperimentSpec, run_experiment, summarize
 from .lipschitz import estimate_l1, estimate_l2
 from .problems import (LinearNetProblem, PlantedTensorProblem, QuarticProblem,
-                       SymTensorProblem, generate_planted_labels,
-                       generate_planted_tensor, uniform_init)
+                       generate_planted_labels, generate_planted_tensor, uniform_init)
 from .slo import check_epoch_descent, run_slo
 from .subroutines import LsParams, a_gp, a_ls, a_ng
 
 __all__ = [
     "BpgConfig", "CountingOracle", "ExperimentSpec", "LinearNetProblem",
     "LsParams", "ObjectiveOracle", "PlantedTensorProblem", "QuarticProblem", "RunResult", "SloConfig",
-    "Subroutine", "SymTensorProblem", "Termination", "a_gp", "a_ls", "a_ng",
+    "Subroutine", "Termination", "a_gp", "a_ls", "a_ng",
     "bpg_step", "bpg_subproblem", "check_epoch_descent", "estimate_l1",
     "estimate_l2", "gd_fixed", "generate_planted_labels",
     "generate_planted_tensor", "run_bpg", "run_experiment", "run_slo",

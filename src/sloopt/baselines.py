@@ -35,34 +35,40 @@ def bpg_subproblem(g, l_relative, n, eps0):
     from above. p' is increasing and convex for rho > 0, so the iterates fall to the
     root and stop a few ulps from it: within eps0/2 for any eps0 above that.
 
-    Where |g|^2 underflows below the smallest normal float, for a g != 0, |g| is taken
-    from g / max|g| and the root from p'(rho)/|g|^2 = -1 + L|g|^(n-2) rho^(n-1) + L rho,
-    which has the same root. g is scanned for NaN/inf entries only when |g| is not finite.
+    Where |g|^2 or L|g|^n leaves the normal float range, for a g != 0, the root is taken
+    as rho = t / a from -a + L u^(n-2) t^(n-1) + L t = 0, which is p'(rho) / (|g| u) with
+    t = rho |g| / u, u = max|g|^(1/(n-1)) and a = |g| / u: no power there leaves the
+    range. g is scanned for NaN/inf entries only when |g| is not finite.
     """
     _check_bpg(n, l_relative)
     g = np.asarray(g, dtype=float)
     g = g if g.ndim == 1 else as_vector(g)  # its finiteness is read off gn below
-    gn = norm(g)
+    gn = math.sqrt(np.vdot(g, g))  # norm(g) bit for bit, without dot's overflow warning
     if not math.isfinite(gn):  # a finite norm has only finite entries beneath it
         check_finite(g)
-    L, g2 = float(l_relative), gn ** 2
-    if g2 >= sys.float_info.min:
-        lgn, lg2 = L * gn ** n, L * g2
+    L, g2 = float(l_relative), gn ** 2  # finite wherever g.g is
+    try:
+        lgn = L * gn ** n
+    except OverflowError:  # a finite |g| whose n-th power is not
+        lgn = math.inf
+    if sys.float_info.min <= g2 and lgn < math.inf:
+        a, b, c, unit = g2, lgn, L * g2, 1.0  # t = rho, and the equation is p' itself
     elif g.any():
         scale = float(np.abs(g).max())
-        gn = scale * norm(g / scale)
-        g2, lgn, lg2 = 1.0, L * gn ** (n - 2), L
+        u = scale ** (1.0 / (n - 1))
+        a = norm(g / scale) * (scale / u)
+        b, c, unit = L * u ** (n - 2), L, a
     else:
         raise ValueError("bpg_subproblem requires g != 0")
-    # each term alone reaches g2 at its point, so the root lies in [rho/2, rho];
-    # where lgn underflows to 0, the linear term alone sets the root
-    rho = g2 / lg2 if lgn == 0.0 else min(g2 / lg2, (g2 / lgn) ** (1.0 / (n - 1)))
+    # each term alone reaches a at its point, so the root lies in [t/2, t];
+    # where b underflows to 0, the linear term alone sets the root
+    t = a / c if b == 0.0 else min(a / c, (a / b) ** (1.0 / (n - 1)))
     for _ in range(100):
-        slope = (n - 1) * lgn * rho ** (n - 2) + lg2
-        lower = rho - (-g2 + lgn * rho ** (n - 1) + lg2 * rho) / slope
-        if not lower < rho:
-            return rho
-        rho = lower
+        slope = (n - 1) * b * t ** (n - 2) + c
+        lower = t - (-a + b * t ** (n - 1) + c * t) / slope
+        if not lower < t:
+            return t / unit
+        t = lower
     raise ArithmeticError("bpg_subproblem Newton iteration did not converge")
 
 

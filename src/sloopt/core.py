@@ -295,19 +295,3 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
     return RunResult(traced, last.grad_norm, stop, trace, last.epoch - 1, counting.grad_evals,
                      counting.value_evals)
 
-
-def finite_diff_gradient(oracle: ObjectiveOracle, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient, the reference oracle for gradient checks."""
-    if not h > 0:
-        raise ValueError("h must be positive")
-    x = as_vector(x)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fp = oracle.value(x + e)
-        fm = oracle.value(x - e)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise EvaluationError(f"non-finite function value probing coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g

@@ -6,96 +6,19 @@ import numpy as np
 
 from .core import ObjectiveOracle, as_vector, check_finite
 
-# Cap on dense tensors only; planted instances never build one unless asked.
-MAX_TENSOR_ENTRIES = 1_000_000
 
-
-def _outer_power(v: np.ndarray, k: int) -> np.ndarray:
-    """Rank-one symmetric tensor v (x) ... (x) v with k factors."""
-    t = v
-    for _ in range(k - 1):
-        t = np.multiply.outer(t, v)
-    return t
-
-
-def tensor_from_components(components, order_k: int) -> np.ndarray:
-    """Sum of k-th outer powers of the given vectors. Exactly symmetric."""
-    if order_k < 1:
-        raise ValueError("order_k must be >= 1")
-    comps = [as_vector(c) for c in components]
-    d = comps[0].size
-    if any(c.size != d for c in comps):
-        raise ValueError("all components must share the same dimension")
-    if d ** order_k > MAX_TENSOR_ENTRIES:
-        raise ValueError(f"tensor with {d}^{order_k} entries exceeds the size cap")
-    t = np.zeros((d,) * order_k)
-    for c in comps:
-        t += _outer_power(c, order_k)
-    return t
-
-
-class SymTensorProblem(ObjectiveOracle):
-    """Least-squares fit of a symmetric k-way tensor by m symmetric rank-one terms.
+class PlantedTensorProblem(ObjectiveOracle):
+    """Least-squares fit of T = sum_j c_j^(x)k by m symmetric rank-one terms x_i^(x)k.
 
     The decision variable is the concatenation (x_1, ..., x_m), one block of
     size d per component. Requires odd k so that component scales can carry
-    sign.
-    """
+    sign. With X the m x d iterate blocks, C the components, G = X X^T and
+    P = X C^T (powers elementwise), <a^(x)k, b^(x)k> = <a, b>^k gives
 
-    def __init__(self, tensor: np.ndarray, rank_m: int):
-        tensor = np.asarray(tensor, dtype=float)
-        if tensor.shape != (tensor.shape[0],) * tensor.ndim:
-            raise ValueError("tensor must be cubical")
-        self._set_shape(tensor.shape[0], tensor.ndim, rank_m)
-        self.tensor = tensor
-
-    def _set_shape(self, dim_d: int, order_k: int, rank_m: int):
-        if order_k < 3 or order_k % 2 == 0:
-            raise ValueError("order_k must be an odd integer >= 3")
-        self.order_k = int(order_k)
-        self.dim_d = int(dim_d)
-        self.rank_m = int(rank_m)
-        if self.rank_m < 1:
-            raise ValueError("rank_m must be >= 1")
-        self.dim = self.rank_m * self.dim_d
-
-    def _blocks(self, x: np.ndarray):
-        """The m x d blocks of a point that passed ``_at``'s checks."""
-        return x.reshape(self.rank_m, self.dim_d)
-
-    def _residual(self, x) -> np.ndarray:
-        r = self.tensor.copy()
-        for b in self._blocks(x):
-            r -= _outer_power(b, self.order_k)
-        return r
-
-    def value(self, x):
-        return float(np.sum(self._at(x, self._residual)[1] ** 2))
-
-    def gradient(self, x):
-        x, resid = self._at(x, self._residual)
-        blocks, k = self._blocks(x), self.order_k
-        g = np.empty_like(blocks)
-        for i, b in enumerate(blocks):
-            # contract the residual with x_i over k-1 modes
-            c = resid
-            for _ in range(k - 1):
-                c = np.tensordot(c, b, axes=([c.ndim - 1], [0]))
-            g[i] = -2.0 * k * c
-        return g.reshape(-1)
-
-
-class PlantedTensorProblem(SymTensorProblem):
-    """The tensor problem for T = sum_j c_j^(x)k, evaluated through Gram matrices.
-
-    With X the m x d iterate blocks, C the components, G = X X^T and
-    P = X C^T (powers elementwise),
-
-        f = sum(G^k) - 2 sum(P^k) + sum((C C^T)^k)
+        f = ||T - sum_i x_i^(x)k||^2 = sum(G^k) - 2 sum(P^k) + sum((C C^T)^k)
         grad = 2k (G^(k-1) X - P^(k-1) C),
 
-    which costs O(m^2 d) per call instead of O(m d^k). The dense tensor is
-    built only when ``tensor`` is read, so the size cap applies only there.
+    which costs O(m^2 d) per call. The dense tensor T is never built.
     """
 
     def __init__(self, components, order_k: int, rank_m: int):
@@ -103,13 +26,18 @@ class PlantedTensorProblem(SymTensorProblem):
         if comps.ndim != 2 or comps.shape[0] != rank_m:
             raise ValueError(f"components must have shape (rank_m, d) = ({rank_m}, d), "
                              f"got {comps.shape}")
-        self._set_shape(comps.shape[1], order_k, rank_m)
+        if order_k < 3 or order_k % 2 == 0:
+            raise ValueError("order_k must be an odd integer >= 3")
+        if rank_m < 1:
+            raise ValueError("rank_m must be >= 1")
+        self.order_k, self.rank_m, self.dim_d = int(order_k), int(rank_m), comps.shape[1]
+        self.dim = self.rank_m * self.dim_d
         self.components = check_finite(comps, "components")
         self._const = float(np.sum((comps @ comps.T) ** order_k))
 
-    @property
-    def tensor(self) -> np.ndarray:
-        return tensor_from_components(self.components, self.order_k)
+    def _blocks(self, x: np.ndarray):
+        """The m x d blocks of a point that passed ``_at``'s checks."""
+        return x.reshape(self.rank_m, self.dim_d)
 
     def _grams(self, x):
         xs = self._blocks(x)
@@ -237,7 +165,7 @@ class LinearProblem(ObjectiveOracle):
 
 
 def _squared_norm(x):
-    return float(x.dot(x))
+    return float(np.vdot(x, x))  # x.dot(x) bit for bit, without dot's overflow warning
 
 
 class QuarticProblem(ObjectiveOracle):

@@ -362,15 +362,32 @@ def test_bpg_rejects_a_non_finite_gradient(through_step, bad, i):
 
 def test_bpg_on_finite_inputs_whose_norm_overflows():
     # ||(1e200, ...)||^2 overflows: numpy warns, the norm is inf, and the scan that follows
-    # passes, so each call raises or returns what the unfolded scans gave
+    # passes, so the call raises what the unfolded scans gave
     huge = np.full(5, 1e200)
     with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
         # ||x||^2 x is inf, and so is the g handed to bpg_subproblem
         with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
             bpg_step(_Recorded(5), huge, BpgConfig(4, 1.0), grad=np.zeros(5))
-    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
-        rho = bpg_subproblem(huge, 1.0, 4, 1e-16)  # |g|^2 = inf, so the start is inf/inf
-    assert math.isnan(rho)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("g, L, n", [
+    ([1e200] * 5, 1.0, 4), ([1e100], 1.0, 4), ([3e153, -4e153], 2.0, 10),
+    ([1e200, 0.0], 0.5, 2), ([1e300, 1e300], 3.0, 3), ([-7e250], 1.0, 6)])
+def test_subproblem_solves_a_gradient_whose_powers_overflow(g, L, n):
+    # |g|^2 or L|g|^n is past the float range, which gave NaN from inf/inf or raised
+    # OverflowError; the step length s = rho |g| solves L (s^(n-1) + s) = |g|
+    gn = math.hypot(*g)
+    rho = bpg_subproblem(np.array(g), L, n, 1e-16)
+    s = rho * gn
+    assert 0 < rho < math.inf and abs(L * (s ** (n - 1) + s) - gn) <= 2 * n * math.ulp(gn)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bpg_step_where_the_gradient_square_overflows():
+    # f = ||x||^4/4, n = 2, L = 1: g = ||x||^2 x - 2x = (1e180 - 2e60, 0), |g|^2 past the range
+    out = bpg_step(QuarticProblem(2), np.array([1e60, 0.0]), BpgConfig(2, 1.0))
+    np.testing.assert_allclose(out, [-5e179, 0.0], rtol=1e-15)  # rho = 1/(2L)
 
 
 def bpg_step_reference(oracle, x, config, grad=None):

@@ -11,8 +11,14 @@ import sloopt.core
 from sloopt.baselines import BpgConfig, gd_fixed, run_bpg
 from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloConfig,
                          Subroutine, Termination, as_vector, check_finite,
-                         epoch_geometry, finite_diff_gradient, norm)
+                         epoch_geometry, norm)
 from sloopt.problems import LinearProblem, QuadraticProblem, QuarticProblem
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from sloopt import *", namespace)  # raises on a name in __all__ that sloopt lacks
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(sloopt.__all__)
 
 
 def test_as_vector_shapes():
@@ -156,25 +162,6 @@ def test_trace_columns_are_the_norms_at_each_row_iterate(method):
         assert rec.f_value == prob.base.value(x)
         assert rec.grad_norm.hex() == float(np.linalg.norm(prob.base.gradient(x))).hex()
         assert rec.dist_from_anchor.hex() == float(np.linalg.norm(x - anchor)).hex()
-
-
-def test_finite_diff_matches_quadratic():
-    p = QuadraticProblem(4)
-    x = np.array([0.5, -1.0, 2.0, 0.0])
-    np.testing.assert_allclose(finite_diff_gradient(p, x, 1e-6), x, atol=1e-8)
-
-
-@pytest.mark.parametrize("x, h, exc, message", [
-    ([1.0], 0.0, ValueError, "h must be positive"),
-    ([1.0], -1e-6, ValueError, "h must be positive"),
-    ([1.0], math.nan, ValueError, "h must be positive"),
-    # (x +- h)^4 / 4 overflows to inf in Python floats, without a RuntimeWarning
-    ([1e100], 1.0, EvaluationError, "non-finite function value probing coordinate 0"),
-], ids=["h-zero", "h-negative", "h-nan", "overflowing-probe"])
-def test_finite_diff_gradient_rejections_name_their_cause(x, h, exc, message):
-    with pytest.raises(exc) as info:
-        finite_diff_gradient(QuarticProblem(1), np.array(x), h)
-    assert str(info.value) == message
 
 
 def test_config_gp_requires_zero_margin():

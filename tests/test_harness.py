@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -182,6 +183,22 @@ def test_failed_method_recorded_and_others_proceed(tmp_path, monkeypatch, capsys
     assert "FAILED ls/round1: RuntimeError: no step" in out
     assert out == (tmp_path / "cli" / "summary.txt").read_text()
     assert os.path.exists(tmp_path / "cli" / "pgd_round01.csv")
+
+
+def test_overflowing_start_fails_alike_with_warnings_as_errors(tmp_path):
+    # ||x0||^2 overflows at init_c = 1e200: the value is inf and the gradient is not finite,
+    # and no overflow warning turns that error into another
+    spec = ExperimentSpec(problem="quartic", methods=tuple(harness.METHODS), init_c=1e200,
+                          bpg_n=4, bpg_l=1.0, output_dir=str(tmp_path),
+                          problem_params={"quartic_dim": 5})
+    errors = []
+    for action in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            errors.append(run_experiment(spec)["errors"])
+    assert errors[0] == errors[1] == {
+        f"{m}/round1": "EvaluationError: gradient contains NaN or infinite entries"
+        for m in harness.METHODS}
 
 
 def test_spec_settings_cannot_change_after_its_runners_are_built():

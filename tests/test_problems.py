@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sloopt.core import EvaluationError, finite_diff_gradient
-import sloopt.problems
+from reference import dense_tensor, dense_value_and_gradient, fd_gradient
+from sloopt.core import EvaluationError
 from sloopt.problems import (LinearNetProblem, LinearProblem, NegQuadraticProblem,
                              PlantedTensorProblem, QuadraticProblem,
-                             QuarticProblem, SymTensorProblem,
-                             generate_planted_labels,
-                             generate_planted_tensor, tensor_from_components,
-                             uniform_init)
+                             QuarticProblem, generate_planted_labels,
+                             generate_planted_tensor, uniform_init)
 
 
 def rel_err(a, b):
@@ -24,8 +22,7 @@ def test_tensor_value_zero_at_planted_components():
 
 def test_tensor_rank_one_hand_value():
     # T = e1^(x)3, one component x = e1: residual is exactly zero
-    t = tensor_from_components(np.array([[1.0, 0.0]]), 3)
-    prob = SymTensorProblem(t, 1)
+    prob = PlantedTensorProblem(np.array([[1.0, 0.0]]), 3, 1)
     assert prob.value(np.array([1.0, 0.0])) == 0.0
     # at x = 0 the residual is T itself, ||T||^2 = 1
     assert prob.value(np.zeros(2)) == 1.0
@@ -37,13 +34,7 @@ def test_tensor_gradient_matches_finite_differences():
     for _ in range(5):
         x = rng.uniform(-1, 1, prob.dim)
         g = prob.gradient(x)
-        assert rel_err(g, finite_diff_gradient(prob, x, 1e-6)) < 1e-6
-
-
-def test_tensor_requires_odd_order():
-    t = np.zeros((2, 2, 2, 2))
-    with pytest.raises(ValueError):
-        SymTensorProblem(t, 1)
+        assert rel_err(g, fd_gradient(prob, x, 1e-6)) < 1e-6
 
 
 @settings(max_examples=30, deadline=None)
@@ -52,13 +43,13 @@ def test_planted_gram_form_matches_dense(seed, shape):
     d, k, m = shape
     prob, comps = generate_planted_tensor(d, k, m, 0.5, 1.5, seed)
     assert isinstance(prob, PlantedTensorProblem)
-    dense = SymTensorProblem(prob.tensor, m)
+    tensor = dense_tensor(comps, k)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         x = rng.uniform(-1.5, 1.5, prob.dim)
-        f = dense.value(x)
+        f, g = dense_value_and_gradient(tensor, x, m)
         assert abs(prob.value(x) - f) <= 1e-10 * abs(f)
-        assert rel_err(prob.gradient(x), dense.gradient(x)) <= 1e-10
+        assert rel_err(prob.gradient(x), g) <= 1e-10
     assert prob.value(comps.reshape(-1)) == 0.0
 
 
@@ -72,13 +63,11 @@ def test_planted_gram_form_validation():
             PlantedTensorProblem(bad, 3, m)
 
 
-def test_planted_gram_form_skips_the_size_cap():
+def test_planted_gradient_needs_no_dense_tensor():
     # dense, this instance would have 50^5 = 312,500,000 entries
     prob, _ = generate_planted_tensor(50, 5, 3, 0.5, 1.5, 0)
     x = np.random.default_rng(1).uniform(-1, 1, prob.dim)
-    assert rel_err(prob.gradient(x), finite_diff_gradient(prob, x, 1e-6)) < 1e-6
-    with pytest.raises(ValueError, match="size cap"):
-        prob.tensor
+    assert rel_err(prob.gradient(x), fd_gradient(prob, x, 1e-6)) < 1e-6
 
 
 def test_net_autoencoder_perfect_identity():
@@ -104,7 +93,7 @@ def test_net_gradient_matches_finite_differences():
     for _ in range(5):
         w = rng.uniform(-0.5, 0.5, prob.dim)
         assert rel_err(prob.gradient(w),
-                       finite_diff_gradient(prob, w, 1e-6)) < 1e-6
+                       fd_gradient(prob, w, 1e-6)) < 1e-6
 
 
 def test_net_rejects_incompatible_shapes():
@@ -117,12 +106,8 @@ _X = np.zeros((2, 5))  # data with 2 features and 5 samples
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: tensor_from_components([[1.0, 0.0]], 0), "order_k must be >= 1"),
-    (lambda: tensor_from_components([[1.0, 0.0], [1.0, 0.0, 0.0]], 3),
-     "all components must share the same dimension"),
-    (lambda: SymTensorProblem(np.zeros((2, 3, 2)), 1), "tensor must be cubical"),
-    (lambda: SymTensorProblem(np.zeros((2, 2, 2)), 0), "rank_m must be >= 1"),
-    (lambda: SymTensorProblem(np.zeros((2, 2, 2)), 1).value(np.zeros(3)),
+    (lambda: PlantedTensorProblem(np.zeros((0, 2)), 3, 0), "rank_m must be >= 1"),
+    (lambda: PlantedTensorProblem(np.zeros((1, 2)), 3, 1).value(np.zeros(3)),
      "expected dimension 2, got 3"),
     (lambda: LinearNetProblem(_X, [(2, 2)], "other"),
      "mode must be 'autoencoder' or 'supervised'"),
@@ -144,8 +129,7 @@ _X = np.zeros((2, 5))  # data with 2 features and 5 samples
     (lambda: generate_planted_tensor(2, 3, 3, 0.5, 1.5, 0),
      "rank_m must not exceed dim_d (orthonormality)"),
     (lambda: generate_planted_labels([(2, 3)], _X, 0), "cols(W_1) must equal rows(data_X)"),
-], ids=["order-zero", "ragged-components", "non-cubical-tensor", "rank-zero",
-        "tensor-point-length", "net-mode", "net-first-layer", "autoencoder-output",
+], ids=["rank-zero", "tensor-point-length", "net-mode", "net-first-layer", "autoencoder-output",
         "labels-missing", "labels-shape", "net-point-length", "quartic-value-length",
         "quartic-gradient-length", "quadratic-value-length", "quadratic-gradient-length",
         "negquadratic-value-length", "negquadratic-gradient-length", "linear-value-length",
@@ -157,10 +141,13 @@ def test_problem_rejections_name_their_cause(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_quartic_hand_values():
     p = QuarticProblem(1)
     assert p.value(np.array([2.0])) == 4.0
     np.testing.assert_allclose(p.gradient(np.array([2.0])), [8.0])
+    # ||x||^2 overflows, without numpy's overflow warning
+    assert QuarticProblem(5).value(np.full(5, 1e200)) == np.inf
 
 
 def test_uniform_init_range_and_determinism():
@@ -182,7 +169,7 @@ def test_tensor_value_nonnegative(seed):
 @given(st.integers(0, 10_000))
 def test_planted_tensor_is_symmetric(seed):
     prob, _ = generate_planted_tensor(3, 3, 2, 0.5, 1.5, seed)
-    t = prob.tensor
+    t = dense_tensor(prob.components, prob.order_k)
     np.testing.assert_allclose(t, np.transpose(t, (1, 0, 2)), atol=1e-12)
     np.testing.assert_allclose(t, np.transpose(t, (2, 1, 0)), atol=1e-12)
 
@@ -195,8 +182,6 @@ MEMO_PROBLEMS = {
     "autoencoder": lambda: LinearNetProblem(_NET_X, [(2, 3), (4, 2), (3, 4)], "autoencoder"),
     "supervised": lambda: LinearNetProblem(_NET_X, [(2, 3), (4, 2)], "supervised", _NET_Y),
     "quartic": lambda: QuarticProblem(6),
-    "dense": lambda: SymTensorProblem(
-        tensor_from_components(generate_planted_tensor(3, 3, 2, 0.5, 1.5, 0)[1], 3), 2),
     "quadratic": lambda: QuadraticProblem(5),
     "negquadratic": lambda: NegQuadraticProblem(5),
     "linear": lambda: LinearProblem([0.5, -1.0, 2.0, 0.25]),
@@ -273,22 +258,6 @@ def test_gradients_at_two_points_are_distinct_arrays():
         assert not np.shares_memory(g, h), name
         # the linear gradient is the slope at every point
         assert g.tobytes() == bits and (h.tobytes() != bits or name == "linear"), name
-
-
-def test_dense_value_after_gradient_reuses_the_residual(monkeypatch):
-    prob = SymTensorProblem(
-        tensor_from_components(generate_planted_tensor(4, 3, 2, 0.5, 1.5, 1)[1], 3), 2)
-    calls, outer_power = [], sloopt.problems._outer_power
-
-    def counted(v, k):
-        calls.append(k)
-        return outer_power(v, k)
-
-    monkeypatch.setattr(sloopt.problems, "_outer_power", counted)
-    x = np.random.default_rng(2).uniform(-1.0, 1.0, prob.dim)
-    prob.gradient(x)
-    prob.value(x.copy())
-    assert len(calls) == prob.rank_m == 2
 
 
 def _net_reference(prob, w):
