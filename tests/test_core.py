@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import sloopt.core
+from reference import fd_gradient
 from sloopt.baselines import BpgConfig, gd_fixed, run_bpg
 from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloConfig,
                          Subroutine, Termination, as_vector, check_finite,
@@ -162,6 +163,13 @@ def test_trace_columns_are_the_norms_at_each_row_iterate(method):
         assert rec.f_value == prob.base.value(x)
         assert rec.grad_norm.hex() == float(np.linalg.norm(prob.base.gradient(x))).hex()
         assert rec.dist_from_anchor.hex() == float(np.linalg.norm(x - anchor)).hex()
+
+
+def test_finite_diff_matches_quadratic():
+    # the central-difference reference that the oracle gradient tests rely on
+    p = QuadraticProblem(4)
+    x = np.array([0.5, -1.0, 2.0, 0.0])
+    np.testing.assert_allclose(fd_gradient(p, x, 1e-6), x, atol=1e-8)
 
 
 def test_config_gp_requires_zero_margin():

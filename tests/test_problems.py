@@ -53,11 +53,15 @@ def test_planted_gram_form_matches_dense(seed, shape):
     assert prob.value(comps.reshape(-1)) == 0.0
 
 
-def test_planted_gram_form_validation():
+def test_tensor_requires_odd_order():
     comps = np.eye(3)[:2]
     for k in (1, 2, 4):
         with pytest.raises(ValueError, match="odd"):
             PlantedTensorProblem(comps, k, 2)
+
+
+def test_planted_gram_form_validation():
+    comps = np.eye(3)[:2]
     for bad, m in ((comps, 3), (comps.reshape(-1), 2), (comps[None], 2)):
         with pytest.raises(ValueError, match="shape"):
             PlantedTensorProblem(bad, 3, m)
@@ -106,6 +110,8 @@ _X = np.zeros((2, 5))  # data with 2 features and 5 samples
 
 
 @pytest.mark.parametrize("call, message", [
+    (lambda: PlantedTensorProblem(np.zeros((1, 2)), 0, 1),
+     "order_k must be an odd integer >= 3"),
     (lambda: PlantedTensorProblem(np.zeros((0, 2)), 3, 0), "rank_m must be >= 1"),
     (lambda: PlantedTensorProblem(np.zeros((1, 2)), 3, 1).value(np.zeros(3)),
      "expected dimension 2, got 3"),
@@ -129,7 +135,7 @@ _X = np.zeros((2, 5))  # data with 2 features and 5 samples
     (lambda: generate_planted_tensor(2, 3, 3, 0.5, 1.5, 0),
      "rank_m must not exceed dim_d (orthonormality)"),
     (lambda: generate_planted_labels([(2, 3)], _X, 0), "cols(W_1) must equal rows(data_X)"),
-], ids=["rank-zero", "tensor-point-length", "net-mode", "net-first-layer", "autoencoder-output",
+], ids=["order-zero", "rank-zero", "tensor-point-length", "net-mode", "net-first-layer", "autoencoder-output",
         "labels-missing", "labels-shape", "net-point-length", "quartic-value-length",
         "quartic-gradient-length", "quadratic-value-length", "quadratic-gradient-length",
         "negquadratic-value-length", "negquadratic-gradient-length", "linear-value-length",
