@@ -11,6 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+_FLOAT = np.dtype(float)
+
+
 class EvaluationError(RuntimeError):
     """A function or gradient evaluation produced a non-finite number."""
 
@@ -49,8 +52,10 @@ class ObjectiveOracle:
     def _at(self, x, compute):
         """``(v, compute(v))`` for v = x checked 1-D, finite and ``dim`` long, memoized by its bytes
         for the latest two points, so value and gradient at one point share checks and work, also
-        when another point was evaluated between them. compute returns no view of v."""
-        v = np.asarray(x, dtype=float)
+        when another point was evaluated between them. compute returns no view of v. The check
+        takes ``||v||^2`` and scans v only when that is not finite, since a finite sum of squares
+        has only finite entries beneath it; with compute None, ``||v||^2`` is the output."""
+        v = x if type(x) is np.ndarray and x.dtype is _FLOAT else np.asarray(x, dtype=float)
         key = v.tobytes()
         if v.ndim == 1:
             (latest, out), (older, out_older) = self._memo
@@ -58,10 +63,14 @@ class ObjectiveOracle:
                 return v, out
             if key == older:
                 return v, out_older
-        v = check_finite(v) if v.ndim == 1 else as_vector(v)
+        else:
+            v = as_vector(v)
+        sq = float(np.vdot(v, v))  # v.dot(v) bit for bit, without dot's overflow warning
+        if not math.isfinite(sq):
+            check_finite(v)
         if v.size != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {v.size}")
-        out = compute(v)
+        out = sq if compute is None else compute(v)
         self._memo = ((key, out), self._memo[0])
         return v, out
 
@@ -253,6 +262,7 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                          f"{oracle.dim}")
     t0 = time.monotonic()
     trace: list[IterationRecord] = []
+    new_row = tuple.__new__  # an IterationRecord without namedtuple's Python-level __new__
     f_prev, g_prev, step, dist = math.inf, None, None, 0.0
     closed = k = 0
     try:
@@ -262,7 +272,8 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
             f = counting.base.value(x)
             traced = x
             elapsed = time.monotonic() - t0  # one reading for the row and the budget
-            trace.append(IterationRecord(closed + 1, k, counting.grad_evals, elapsed, f, g_norm, dist))
+            trace.append(new_row(IterationRecord, (closed + 1, k, counting.grad_evals, elapsed, f,
+                                                   g_norm, dist)))
             if g_norm < tol:
                 stop = Termination.GradientTolerance
             elif not math.isfinite(f) or f - f_prev > 1e12:

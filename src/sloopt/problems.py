@@ -135,10 +135,10 @@ class QuadraticProblem(ObjectiveOracle):
         self.dim = dim
 
     def value(self, x):
-        return self.sign * 0.5 * self._at(x, _squared_norm)[1]
+        return self.sign * 0.5 * self._at(x, None)[1]
 
     def gradient(self, x):
-        return self.sign * self._at(x, _squared_norm)[0]
+        return self.sign * self._at(x, None)[0]
 
 
 class NegQuadraticProblem(QuadraticProblem):
@@ -164,10 +164,6 @@ class LinearProblem(ObjectiveOracle):
         return self.slope.copy()
 
 
-def _squared_norm(x):
-    return float(np.vdot(x, x))  # x.dot(x) bit for bit, without dot's overflow warning
-
-
 class QuarticProblem(ObjectiveOracle):
     """f(x) = 0.25 ||x||^4, the canonical degree-4 polynomial test objective.
 
@@ -186,11 +182,13 @@ class QuarticProblem(ObjectiveOracle):
         return max(1.0, 6.0 * r)
 
     def value(self, x):
-        _, n2 = self._at(x, _squared_norm)
+        n2 = self._at(x, None)[1]
         return 0.25 * n2 * n2
 
     def gradient(self, x):
-        x, n2 = self._at(x, _squared_norm)
+        x, n2 = self._at(x, None)
+        if n2 == np.inf:  # ||x||^2 overflowed: the limit, where n2 * x would give inf * 0 = NaN
+            return np.where(x == 0, x, np.copysign(np.inf, x))
         return n2 * x
 
 

@@ -140,6 +140,26 @@ def test_record_fields_follow_the_csv_columns():
     assert tuple(rec) == (2, 1, 7, 0.5, 3.0, 2.0, 0.25)
 
 
+@pytest.mark.parametrize("method", sorted(harness.METHODS))
+def test_drive_rows_are_records_that_match_their_csv_rows(tmp_path, method):
+    # drive builds rows with tuple.__new__; they must stay IterationRecords, field for column
+    spec = ExperimentSpec(problem="quartic", methods=(method,), init_c=1.5, budget_evals=60,
+                          bpg_n=4, bpg_l=10.0, output_dir=str(tmp_path))
+    results, runner = [], spec.runners[method]
+    spec.runners[method] = lambda oracle, x0: results.append(runner(oracle, x0)) or results[-1]
+    run_experiment(spec)
+    rows = read_rows(tmp_path / f"{method}_round01.csv")
+    trace = results[0].trace
+    assert len(trace) == len(rows) - 1 > 1
+    for rec, row in zip(trace, rows[1:]):
+        assert type(rec) is IterationRecord
+        fields = rec._asdict()
+        assert [str(fields[f]) for f in ("epoch", "iter", "cum_grad_evals")] == row[1:4]
+        assert "%.6f" % rec.elapsed_s == row[4]
+        assert [fields[f] for f in ("f_value", "grad_norm", "dist_from_anchor")] \
+            == [float(v) for v in row[5:]]
+
+
 def test_summarize_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad_round01.csv"
     with open(path, "w") as fh:

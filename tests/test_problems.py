@@ -156,6 +156,14 @@ def test_quartic_hand_values():
     assert QuarticProblem(5).value(np.full(5, 1e200)) == np.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quartic_gradient_where_the_squared_norm_overflows():
+    # the limit of ||x||^2 x: inf * 0 would be NaN where x is 0
+    assert QuarticProblem(2).gradient(np.array([1e200, 0.0])).tolist() == [np.inf, 0.0]
+    g = QuarticProblem(3).gradient(np.array([-1e200, -0.0, 1e-300]))
+    assert g.tolist() == [-np.inf, 0.0, np.inf] and np.signbit(g).tolist() == [True, True, False]
+
+
 def test_uniform_init_range_and_determinism():
     a = uniform_init(10, 0.1, 5)
     b = uniform_init(10, 0.1, 5)
@@ -192,6 +200,7 @@ MEMO_PROBLEMS = {
     "negquadratic": lambda: NegQuadraticProblem(5),
     "linear": lambda: LinearProblem([0.5, -1.0, 2.0, 0.25]),
 }
+NON_FINITE = "^vector contains NaN or infinite entries$"
 # Each call hands the point over in a new object: a copy, a list, or a strided view.
 FORMS = {"copy": np.copy, "list": lambda x: x.tolist(),
          "strided": lambda x: np.repeat(x, 2)[::2]}
@@ -235,7 +244,7 @@ def test_memo_answers_as_a_fresh_instance(name, seed, ops):
             check("value", points[i].copy())
             check(method, last)
         elif op == "2-D":  # the memoized bytes, shaped as a matrix
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^expected a 1-D vector, got shape \(1, "):
                 getattr(prob, method)(last.reshape(1, -1))
         elif op == "wrong-dim":  # the latest point, one entry too long
             with pytest.raises(ValueError) as info:
@@ -245,11 +254,44 @@ def test_memo_answers_as_a_fresh_instance(name, seed, ops):
             bad = last.copy()
             bad[i % bad.size] = (np.nan, np.inf, -np.inf)[i]
             for _ in range(2):
-                with pytest.raises(EvaluationError):
+                with pytest.raises(EvaluationError, match=NON_FINITE):
                     getattr(prob, method)(bad)
     check("value", last)
     for got, bits in answers:
         assert _bits(got) == bits
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["value", "gradient"])
+@pytest.mark.parametrize("name", sorted(MEMO_PROBLEMS))
+def test_every_bundled_oracle_checks_its_point(name, method):
+    """``_at`` reads finiteness off ||x||^2, yet rejects and accepts what a scan of every entry
+    does, in the same order: non-finite entries, then a wrong length; a 2-D input fails in
+    ``as_vector``."""
+    prob = MEMO_PROBLEMS[name]()
+    call, n = getattr(prob, method), prob.dim
+    x = np.random.default_rng(4).uniform(-1.5, 1.5, n)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in (0, n - 1):
+            y = x.copy()
+            y[i] = bad
+            with pytest.raises(EvaluationError, match=NON_FINITE):
+                call(y)
+        with pytest.raises(EvaluationError, match=NON_FINITE):  # before the length
+            call(np.append(x, bad))
+    with pytest.raises(ValueError, match=f"^expected dimension {n}, got {n + 1}$"):
+        call(np.append(x, 0.5))
+    for shaped in (x.reshape(1, -1), np.full((1, n), np.nan)):
+        with pytest.raises(ValueError, match=rf"^expected a 1-D vector, got shape \(1, {n}\)$"):
+            call(shaped)
+    big = np.full(n, 1e200)  # finite, though ||big||^2 overflows: accepted, with no warning
+    assert prob._at(big, lambda v: "computed") == (big, "computed")
+    assert MEMO_PROBLEMS[name]()._at(big, None)[1] == np.inf
+    fresh = _bits(getattr(MEMO_PROBLEMS[name](), method)(x.copy()))
+    assert _bits(call(x)) == fresh and _bits(call(x)) == fresh  # computed, then a memo hit
+    ints = np.arange(n) % 3 - 1
+    for form in (ints, ints.tolist(), ints.astype(">f8")):  # converted to native float64
+        assert _bits(call(form)) == _bits(getattr(MEMO_PROBLEMS[name](), method)(ints * 1.0))
 
 
 def test_gradients_at_two_points_are_distinct_arrays():
