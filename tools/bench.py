@@ -14,7 +14,7 @@ Runs, each ``benchmarks/run.py`` call in its own subprocess on the working tree'
   rounds of ``RunResult.grad_evals`` and ``RunResult.value_evals``, and its errors.
 
 The environment (Python, numpy, BLAS, CPU count, ``git rev-parse HEAD`` and whether ``src/`` and
-``benchmarks/`` differ from it) comes first. At ``--seconds 5`` the whole takes about 8 minutes
+``benchmarks/`` differ from it) comes first. At ``--seconds 5`` the whole takes about 4 minutes
 on a 2-CPU machine. Times only show direction; ``tools/ab_pairs.py`` decides whether a change
 of them is a gain. The counts are exact and repeat.
 """
