@@ -11,9 +11,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-_FLOAT = np.dtype(float)
-
-
 class EvaluationError(RuntimeError):
     """A function or gradient evaluation produced a non-finite number."""
 
@@ -55,7 +52,7 @@ class ObjectiveOracle:
         when another point was evaluated between them. compute returns no view of v. The check
         takes ``||v||^2`` and scans v only when that is not finite, since a finite sum of squares
         has only finite entries beneath it; with compute None, ``||v||^2`` is the output."""
-        v = x if type(x) is np.ndarray and x.dtype is _FLOAT else np.asarray(x, dtype=float)
+        v = np.asarray(x, dtype=float)
         key = v.tobytes()
         if v.ndim == 1:
             (latest, out), (older, out_older) = self._memo
@@ -262,7 +259,6 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
                          f"{oracle.dim}")
     t0 = time.monotonic()
     trace: list[IterationRecord] = []
-    new_row = tuple.__new__  # an IterationRecord without namedtuple's Python-level __new__
     f_prev, g_prev, step, dist = math.inf, None, None, 0.0
     closed = k = 0
     try:
@@ -272,8 +268,7 @@ def drive(oracle: ObjectiveOracle, x_start, start_epoch, tol: float,
             f = counting.base.value(x)
             traced = x
             elapsed = time.monotonic() - t0  # one reading for the row and the budget
-            trace.append(new_row(IterationRecord, (closed + 1, k, counting.grad_evals, elapsed, f,
-                                                   g_norm, dist)))
+            trace.append(IterationRecord(closed + 1, k, counting.grad_evals, elapsed, f, g_norm, dist))
             if g_norm < tol:
                 stop = Termination.GradientTolerance
             elif not math.isfinite(f) or f - f_prev > 1e12:

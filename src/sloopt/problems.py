@@ -187,7 +187,7 @@ class QuarticProblem(ObjectiveOracle):
 
     def gradient(self, x):
         x, n2 = self._at(x, None)
-        if n2 == np.inf:  # ||x||^2 overflowed: the limit, where n2 * x would give inf * 0 = NaN
+        if n2 == np.inf:  # not n2 * x, whose inf * 0 is NaN: +-inf where x != 0, by convention
             return np.where(x == 0, x, np.copysign(np.inf, x))
         return n2 * x
 

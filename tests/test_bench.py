@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,3 +48,18 @@ def test_one_incorrect_run_makes_the_workload_incorrect():
     assert agg["correct"] is False and agg["failed"] == 2
     assert [(r["correct"], r["failed"]) for r in agg["runs"]] == [(True, 0), (False, 2)]
     assert agg["end_to_end"]["solve_s.gd"]["median"] == pytest.approx(0.55)
+
+
+def test_exact_counts_sum_the_rounds_of_each_experiment():
+    def experiments(tmp):  # output_digest.experiments' tuples, canned
+        for seed, name, method, rounds, errors in [
+                (7, "quartic-50", "gd", [(3, 4), (5, 6)], {}),
+                (7, "net-ae", "gd", [(1, 0)], {"gd/round1": "EvaluationError: f"}),
+                (3, "quartic-50", "ls", [], {})]:
+            results = [SimpleNamespace(grad_evals=g, value_evals=v) for g, v in rounds]
+            yield seed, name, method, tmp / name, {"errors": errors}, results
+    assert bench.exact_counts(experiments) == {
+        "quartic-50": {7: {"gd": {"grad_evals": 8, "value_evals": 10, "errors": {}}},
+                       3: {"ls": {"grad_evals": 0, "value_evals": 0, "errors": {}}}},
+        "net-ae": {7: {"gd": {"grad_evals": 1, "value_evals": 0,
+                              "errors": {"gd/round1": "EvaluationError: f"}}}}}

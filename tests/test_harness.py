@@ -142,7 +142,6 @@ def test_record_fields_follow_the_csv_columns():
 
 @pytest.mark.parametrize("method", sorted(harness.METHODS))
 def test_drive_rows_are_records_that_match_their_csv_rows(tmp_path, method):
-    # drive builds rows with tuple.__new__; they must stay IterationRecords, field for column
     spec = ExperimentSpec(problem="quartic", methods=(method,), init_c=1.5, budget_evals=60,
                           bpg_n=4, bpg_l=10.0, output_dir=str(tmp_path))
     results, runner = [], spec.runners[method]

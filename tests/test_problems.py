@@ -158,8 +158,10 @@ def test_quartic_hand_values():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_quartic_gradient_where_the_squared_norm_overflows():
-    # the limit of ||x||^2 x: inf * 0 would be NaN where x is 0
+    # ||x||^2 x would give inf * 0 = NaN where x is 0
     assert QuarticProblem(2).gradient(np.array([1e200, 0.0])).tolist() == [np.inf, 0.0]
+    # a convention, signs kept: ||x||^2 * 1e-300 is about 1e100, but the largest entry is truly
+    # inf, so a CountingOracle rejects the gradient either way
     g = QuarticProblem(3).gradient(np.array([-1e200, -0.0, 1e-300]))
     assert g.tolist() == [-np.inf, 0.0, np.inf] and np.signbit(g).tolist() == [True, True, False]
 
@@ -201,24 +203,29 @@ MEMO_PROBLEMS = {
     "linear": lambda: LinearProblem([0.5, -1.0, 2.0, 0.25]),
 }
 NON_FINITE = "^vector contains NaN or infinite entries$"
-# Each call hands the point over in a new object: a copy, a list, or a strided view.
+# Each call hands the point over in a new object: a copy, a list, a strided view, a big-endian
+# copy, or its entries rounded to ints.
 FORMS = {"copy": np.copy, "list": lambda x: x.tolist(),
-         "strided": lambda x: np.repeat(x, 2)[::2]}
+         "strided": lambda x: np.repeat(x, 2)[::2], "big-endian": lambda x: x.astype(">f8"),
+         "int": lambda x: np.rint(x).astype(int)}
 
 
 def _bits(out):
     return out.hex() if isinstance(out, float) else (out.dtype, out.shape, out.tobytes())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(MEMO_PROBLEMS)), st.integers(0, 2**32 - 1),
-       st.lists(st.tuples(st.sampled_from(["call", "mutate", "2-D", "non-finite", "wrong-dim"]),
+       st.lists(st.tuples(st.sampled_from(["call", "mutate", "2-D", "non-finite", "wrong-dim",
+                                           "huge"]),
                           st.sampled_from(["value", "gradient"]), st.integers(0, 2),
                           st.sampled_from(sorted(FORMS))), min_size=1, max_size=14))
 def test_memo_answers_as_a_fresh_instance(name, seed, ops):
     """Any interleaving of value/gradient calls returns the bits a fresh instance
     returns at the same point, and rejects what ``as_vector`` rejects and a point of
-    another length."""
+    another length, in that order. The check reads finiteness off ||x||^2, yet accepts
+    finite entries whose squares overflow, with no warning."""
     prob = MEMO_PROBLEMS[name]()
     rng = np.random.default_rng(seed)
     points = [rng.uniform(-1.5, 1.5, prob.dim) for _ in range(3)]
@@ -243,55 +250,33 @@ def test_memo_answers_as_a_fresh_instance(name, seed, ops):
             check("gradient", FORMS[form](points[i]))
             check("value", points[i].copy())
             check(method, last)
-        elif op == "2-D":  # the memoized bytes, shaped as a matrix
-            with pytest.raises(ValueError, match=r"^expected a 1-D vector, got shape \(1, "):
-                getattr(prob, method)(last.reshape(1, -1))
-        elif op == "wrong-dim":  # the latest point, one entry too long
+        elif op == "2-D":  # the memoized bytes, shaped as a matrix, with a NaN when i > 0
+            shaped = last.reshape(1, -1).copy()
+            if i:
+                shaped[0, i] = np.nan
+            with pytest.raises(ValueError, match=rf"^expected a 1-D vector, got shape \(1, "
+                                                 rf"{prob.dim}\)$"):
+                getattr(prob, method)(shaped)
+        elif op == "wrong-dim":  # the latest point, one entry too long; non-finite ones first
             with pytest.raises(ValueError) as info:
                 getattr(prob, method)(FORMS[form](np.append(last, 0.5)))
             assert str(info.value) == f"expected dimension {prob.dim}, got {prob.dim + 1}"
-        else:  # the same non-finite point twice, after a finite one
-            bad = last.copy()
-            bad[i % bad.size] = (np.nan, np.inf, -np.inf)[i]
-            for _ in range(2):
-                with pytest.raises(EvaluationError, match=NON_FINITE):
-                    getattr(prob, method)(bad)
+            with pytest.raises(EvaluationError, match=NON_FINITE):
+                getattr(prob, method)(np.append(last, (np.nan, np.inf, -np.inf)[i]))
+        elif op == "huge":  # entries of 1e200, whose squares overflow: passed on to compute
+            huge = np.where(last < 0, -1e200, 1e200)
+            v, total = prob._at(huge, lambda v: float(v.sum()))
+            assert _bits(v) == _bits(huge) and total == huge.sum()
+        else:  # the same non-finite point twice, at its first or last index, after a finite one
+            for index in (0, -1):
+                bad = last.copy()
+                bad[index] = (np.nan, np.inf, -np.inf)[i]
+                for _ in range(2):
+                    with pytest.raises(EvaluationError, match=NON_FINITE):
+                        getattr(prob, method)(bad)
     check("value", last)
     for got, bits in answers:
         assert _bits(got) == bits
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("method", ["value", "gradient"])
-@pytest.mark.parametrize("name", sorted(MEMO_PROBLEMS))
-def test_every_bundled_oracle_checks_its_point(name, method):
-    """``_at`` reads finiteness off ||x||^2, yet rejects and accepts what a scan of every entry
-    does, in the same order: non-finite entries, then a wrong length; a 2-D input fails in
-    ``as_vector``."""
-    prob = MEMO_PROBLEMS[name]()
-    call, n = getattr(prob, method), prob.dim
-    x = np.random.default_rng(4).uniform(-1.5, 1.5, n)
-    for bad in (np.nan, np.inf, -np.inf):
-        for i in (0, n - 1):
-            y = x.copy()
-            y[i] = bad
-            with pytest.raises(EvaluationError, match=NON_FINITE):
-                call(y)
-        with pytest.raises(EvaluationError, match=NON_FINITE):  # before the length
-            call(np.append(x, bad))
-    with pytest.raises(ValueError, match=f"^expected dimension {n}, got {n + 1}$"):
-        call(np.append(x, 0.5))
-    for shaped in (x.reshape(1, -1), np.full((1, n), np.nan)):
-        with pytest.raises(ValueError, match=rf"^expected a 1-D vector, got shape \(1, {n}\)$"):
-            call(shaped)
-    big = np.full(n, 1e200)  # finite, though ||big||^2 overflows: accepted, with no warning
-    assert prob._at(big, lambda v: "computed") == (big, "computed")
-    assert MEMO_PROBLEMS[name]()._at(big, None)[1] == np.inf
-    fresh = _bits(getattr(MEMO_PROBLEMS[name](), method)(x.copy()))
-    assert _bits(call(x)) == fresh and _bits(call(x)) == fresh  # computed, then a memo hit
-    ints = np.arange(n) % 3 - 1
-    for form in (ints, ints.tolist(), ints.astype(">f8")):  # converted to native float64
-        assert _bits(call(form)) == _bits(getattr(MEMO_PROBLEMS[name](), method)(ints * 1.0))
 
 
 def test_gradients_at_two_points_are_distinct_arrays():

@@ -47,16 +47,24 @@ def output_digest(out: Path, summary: dict) -> str:
     return h.hexdigest()
 
 
+def experiments(tmp: Path):
+    """``(seed, workload, method, output dir, summary, RunResults of its rounds)`` of one
+    ``run_experiment`` call per seed, workload and method, each writing under tmp."""
+    for seed in SEEDS:
+        for name, wl in WORKLOADS.items():
+            for method in METHODS:
+                out = tmp / f"{seed}-{name}-{method}"
+                spec = harness.ExperimentSpec(methods=(method,), output_dir=str(out),
+                                              **wl.spec_kwargs(seed))
+                results, runner = [], spec.runners[method]
+                spec.runners[method] = lambda o, x0: results.append(runner(o, x0)) or results[-1]
+                yield seed, name, method, out, harness.run_experiment(spec), results
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
-            for name, wl in WORKLOADS.items():
-                for method in METHODS:
-                    out = Path(tmp) / f"{seed}-{name}-{method}"
-                    spec = harness.ExperimentSpec(methods=(method,), output_dir=str(out),
-                                                  **wl.spec_kwargs(seed))
-                    summary = harness.run_experiment(spec)
-                    print(seed, name, method, output_digest(out, summary), flush=True)
+        for seed, name, method, out, summary, _ in experiments(Path(tmp)):
+            print(seed, name, method, output_digest(out, summary), flush=True)
     return 0
 
 
