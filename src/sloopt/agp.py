@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, as_vector, check_finite, norm, project_ball
+from .core import ObjectiveOracle, as_vector, check_finite, checked_norm, norm, project_ball
 from .subroutines import MAX_BACKTRACKS, BacktrackBudgetError
 
 _BOUNDARY_TOL = 1e-12
@@ -54,8 +54,7 @@ class AgpRegion:
         return norm(x - self.center) < self.inner_radius
 
     def on_boundary(self, x) -> bool:
-        d = norm(x - self.center)
-        return d >= self.inner_radius * (1 - _BOUNDARY_TOL)
+        return norm(x - self.center) >= self.inner_radius * (1 - _BOUNDARY_TOL)
 
     def project(self, x, dist=None):
         """The projection of x onto the region; dist = ||x - center|| when the caller holds it."""
@@ -147,9 +146,7 @@ def agp_upg(f_hat, region: AgpRegion, y0, eps_hat, l1_hat, alpha, grad_y0=None,
     x_grads, y_values = [g], [f_y0]  # grad f_hat at each x_hist[j], f_hat at each y_hist[j]
     while True:
         y_tilde = x_hist[t - 1] - g / l1_hat
-        dist = norm(y_tilde - region.center)
-        if not math.isfinite(dist):  # a finite distance has only finite entries beneath it
-            check_finite(y_tilde, "accelerated iterate")
+        dist = checked_norm(y_tilde - region.center, y_tilde, "accelerated iterate")
         if dist < region.inner_radius:
             y_hist.append(y_tilde)
         else:

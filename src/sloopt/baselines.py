@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, RunResult, as_vector, check_finite, drive, norm
+from .core import ObjectiveOracle, RunResult, as_vector, check_finite, checked_norm, drive, norm
 
 
 @dataclass
@@ -78,9 +78,7 @@ def bpg_step(oracle: ObjectiveOracle, x, config: BpgConfig, grad=None):
     x = np.asarray(x, dtype=float)
     x = x if x.ndim == 1 else as_vector(x)  # its finiteness is read off xn below
     n, L = config.poly_degree_n, config.l_relative
-    xn = norm(x)
-    if not math.isfinite(xn):
-        check_finite(x)
+    xn = checked_norm(x, x)
     grad_h = (xn ** (n - 2) + 1.0) * x
     g = (oracle.gradient(x) if grad is None else grad) - L * grad_h
     if not g.any():

@@ -200,7 +200,7 @@ class IterationRecord(NamedTuple):
     """One trace row, its fields in the order of the trace CSV's columns after ``round``."""
     epoch: int
     iter: int
-    cum_grad_evals: int
+    grad_evals: int
     elapsed_s: float
     f_value: float
     grad_norm: float
@@ -221,6 +221,17 @@ class RunResult:
 def norm(v: np.ndarray) -> float:
     """np.linalg.norm of a contiguous 1-D float vector, computed as it does: sqrt(v.dot(v))."""
     return math.sqrt(v.dot(v))
+
+
+def checked_norm(d: np.ndarray, v: np.ndarray, what: str = "vector") -> float:
+    """``norm(d)``, with v scanned by ``check_finite(v, what)`` only when that norm is not finite.
+    Inline instead: ``ObjectiveOracle._at`` reuses ``||v||^2`` without the root, and
+    ``CountingOracle.gradient`` and ``bpg_subproblem`` take ``np.vdot``: an overflowing norm is
+    a legitimate answer there, on which ``dot`` would warn."""
+    n = math.sqrt(d.dot(d))
+    if not math.isfinite(n):
+        check_finite(v, what)
+    return n
 
 
 def project_ball(x: np.ndarray, center: np.ndarray, r: float, dist: float | None = None):

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, problems, slo
-from .core import SloConfig, Subroutine, Termination, epoch_geometry
+from .core import IterationRecord, SloConfig, Subroutine, Termination, epoch_geometry
 
-CSV_HEADER = ["round", "epoch", "iter", "grad_evals", "elapsed_s",
-              "f_value", "grad_norm", "dist_from_anchor"]
+CSV_HEADER = ["round", *IterationRecord._fields]
 
 
 @dataclass(frozen=True)  # its runners are built from its settings once, in __post_init__
@@ -244,7 +243,7 @@ def _write_summary(output_dir, summary):
 def write_svg(path, trace):
     """Minimal two-series line chart (f_value and grad_norm vs grad_evals)."""
     width, height = 640, 360
-    xs = [rec.cum_grad_evals for rec in trace]
+    xs = [rec.grad_evals for rec in trace]
     series = {
         "#1f77b4": [rec.f_value for rec in trace],
         "#d62728": [rec.grad_norm for rec in trace],

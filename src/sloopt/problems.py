@@ -92,10 +92,6 @@ class LinearNetProblem(ObjectiveOracle):
             self._layout.append((self.dim, self.dim + r * c, (r, c)))
             self.dim += r * c
 
-    @staticmethod
-    def flatten(mats) -> np.ndarray:
-        return np.concatenate([np.asarray(m, dtype=float).reshape(-1) for m in mats])
-
     def _forward(self, w):
         """[X, W_1 X, ..., W_m ... W_1 X, that product minus the target] at a valid w."""
         acts = [self.data_X]

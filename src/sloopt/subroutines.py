@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvaluationError, ObjectiveOracle, as_vector, check_finite, norm, project_ball
+from .core import (EvaluationError, ObjectiveOracle, as_vector, check_finite, checked_norm, norm,
+                   project_ball)
 
 MAX_BACKTRACKS = 200  # the cap on failed tests of a_gp and a_agp, and on a_ls's grid index
 
@@ -58,9 +59,7 @@ def a_gp(oracle: ObjectiveOracle, x, center, eta: float, r: float, grad=None, f_
     x = np.asarray(x, dtype=float)
     x = x if x.ndim == 1 else as_vector(x)  # its finiteness is read off dist below
     center = as_vector(center)
-    dist = norm(x - center)
-    if not math.isfinite(dist):
-        check_finite(x)
+    dist = checked_norm(x - center, x)
     if not (eta > 0 and r > 0):
         raise ValueError("eta and r must be positive")
     if dist > r * (1 + 1e-12):
@@ -91,13 +90,8 @@ def a_ng(oracle: ObjectiveOracle, x, l1: float, d: float, grad=None):
     if not (1 <= l1 < np.inf and d > 0):
         raise ValueError("require a finite l1 >= 1 and d > 0")
     g = oracle.gradient(x) if grad is None else grad
-    gnorm = norm(g)
-    if not math.isfinite(gnorm):
-        check_finite(x)
-    if gnorm <= l1 * d:
-        out = x - g / l1
-    else:
-        out = x - (d / gnorm) * g
+    gnorm = checked_norm(g, x)
+    out = x - (g / l1 if gnorm <= l1 * d else (d / gnorm) * g)
     try:
         return check_finite(out, "a_ng output")
     except EvaluationError:
@@ -120,9 +114,7 @@ def a_ls(oracle: ObjectiveOracle, x, direction, params: LsParams, grad=None, f_x
     x = as_vector(x)
     d = np.asarray(direction, dtype=float)
     d = d if d.ndim == 1 else as_vector(d)
-    dnorm = norm(d)
-    if not math.isfinite(dnorm):  # a finite norm has only finite entries beneath it
-        check_finite(d)
+    dnorm = checked_norm(d, d)
     if dnorm == 0.0:
         raise DirectionError("direction must be nonzero")
     g = oracle.gradient(x) if grad is None else grad

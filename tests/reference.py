@@ -1,7 +1,38 @@
 """Reference forms that tests check the oracles against: a central-difference
-gradient, and the planted tensor objective evaluated on the dense tensor."""
+gradient, and the planted tensor objective evaluated on the dense tensor. Also
+fixtures shared by several test files: an unchecked quadratic oracle and a table
+of non-finite entries."""
+
+import math
 
 import numpy as np
+
+from sloopt.core import ObjectiveOracle
+
+# (bad value, index) pairs for a 5-vector: NaN, +inf and -inf at the first, middle and last entry
+BAD = [(bad, i) for bad in (math.nan, math.inf, -math.inf) for i in (0, 2, 4)]
+
+
+def with_bad(bad, i, base=None):
+    """A copy of base, by default five entries of 0.1, with entry i set to bad."""
+    v = np.full(5, 0.1) if base is None else base.copy()
+    v[i] = bad
+    return v
+
+
+class GeneralQuadratic(ObjectiveOracle):
+    """f(x) = 0.5 x' H x for a symmetric H. It makes no check of x, so it hides no missing scan
+    of the code under test."""
+
+    def __init__(self, h):
+        self.h = np.asarray(h, dtype=float)
+        self.dim = self.h.shape[0]
+
+    def value(self, x):
+        return float(0.5 * x @ self.h @ x)
+
+    def gradient(self, x):
+        return self.h @ x
 
 
 def fd_gradient(oracle, x, h):

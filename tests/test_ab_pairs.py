@@ -2,6 +2,7 @@
 performance change is called a gain."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,11 @@ def test_quartiles_of_one_value(value):
 
 def test_quartiles_are_inclusive():
     assert ab_pairs.quartiles(BASE) == pytest.approx((1.0225, 1.045, 1.0675))
+
+
+def test_run_length_defaults_to_the_benchmarks_run_seconds():
+    declared = json.loads((_path.parent.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    required = ["--base", "HEAD", "--workload", "quartic-50"]
+    args, benchmark = ab_pairs.parse_args(required)
+    assert args.seconds == float(declared) and benchmark["run_seconds"] == declared
+    assert ab_pairs.parse_args(required + ["--seconds", "10"])[0].seconds == 10.0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import sloopt.agp as agp_mod
 import sloopt.slo as slo_mod
+from reference import GeneralQuadratic
 from sloopt import harness
 from sloopt.agp import (AgpError, AgpRegion, AugmentedOracle, UpgOutcome, a_agp, agp_upg,
                         find_nc_pair)
@@ -15,20 +16,6 @@ from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloCo
 from sloopt.problems import (LinearProblem, NegQuadraticProblem, QuadraticProblem,
                              QuarticProblem, generate_planted_tensor, uniform_init)
 from sloopt.subroutines import MAX_BACKTRACKS, BacktrackBudgetError
-
-
-class GeneralQuadratic(ObjectiveOracle):
-    """f(x) = 0.5 x' H x for a symmetric H."""
-
-    def __init__(self, h):
-        self.h = np.asarray(h, dtype=float)
-        self.dim = self.h.shape[0]
-
-    def value(self, x):
-        return float(0.5 * x @ self.h @ x)
-
-    def gradient(self, x):
-        return self.h @ x
 
 
 def random_spd_quadratic(rng, dim, lo, hi):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import BAD, with_bad
 from sloopt.baselines import (BpgConfig, bpg_step, bpg_subproblem, gd_fixed,
                               run_bpg)
 from sloopt.core import EvaluationError, ObjectiveOracle, Termination, as_vector, norm
@@ -314,13 +315,6 @@ def test_bpg_config_validation():
 # bpg_step reads the finiteness of x off ||x||, and bpg_subproblem that of g off |g|; a scan
 # runs only when that norm is not finite. The oracle below makes no check of its own that could
 # hide a missing scan, and records every call.
-BAD = [(bad, i) for bad in (math.nan, math.inf, -math.inf) for i in (0, 2, 4)]
-
-
-def _with(bad, i):
-    v = np.full(5, 0.1)
-    v[i] = bad
-    return v
 
 
 class _Recorded(ObjectiveOracle):
@@ -344,7 +338,7 @@ class _Recorded(ObjectiveOracle):
 def test_bpg_step_rejects_a_non_finite_point_before_any_evaluation(with_grad, bad, i):
     oracle = _Recorded(5)
     with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
-        bpg_step(oracle, _with(bad, i), BpgConfig(4, 1.0),
+        bpg_step(oracle, with_bad(bad, i), BpgConfig(4, 1.0),
                  grad=np.full(5, 0.1) if with_grad else None)
     assert oracle.calls == []
 
@@ -355,9 +349,9 @@ def test_bpg_step_rejects_a_non_finite_point_before_any_evaluation(with_grad, ba
 def test_bpg_rejects_a_non_finite_gradient(through_step, bad, i):
     with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
         if through_step:  # g = grad - L grad h(x) has the bad entry of grad
-            bpg_step(_Recorded(5), np.full(5, 0.1), BpgConfig(4, 1.0), grad=_with(bad, i))
+            bpg_step(_Recorded(5), np.full(5, 0.1), BpgConfig(4, 1.0), grad=with_bad(bad, i))
         else:
-            bpg_subproblem(_with(bad, i), 1.0, 4, 1e-16)
+            bpg_subproblem(with_bad(bad, i), 1.0, 4, 1e-16)
 
 
 def test_bpg_on_finite_inputs_whose_norm_overflows():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,6 +21,14 @@ def _stdout(solve_s, grad_evals, correct=True, failed=0):
               "metrics": {"solve_s.gd": {"value": solve_s, "unit": "s"},
                           "grad_evals.gd": {"value": grad_evals, "unit": "count"}}}
     return "progress\n" + json.dumps(report) + "\n" + json.dumps(result) + "\n"
+
+
+def _traced_stdout(gradient_us, correct=True):
+    """What run.py --trace 1 prints: a report line, then a result line of per-layer figures."""
+    result = {"correct": correct, "attempted": 14, "failed": 0,
+              "metrics": {"problems.gradient.us": {"value": gradient_us, "unit": "us"},
+                          "slo.iters": {"value": 500, "unit": "count"}}}
+    return json.dumps({"workload": "net-ae"}) + "\n" + json.dumps(result) + "\n"
 
 
 def test_parse_reads_the_last_two_lines():
@@ -63,3 +72,44 @@ def test_exact_counts_sum_the_rounds_of_each_experiment():
                        3: {"ls": {"grad_evals": 0, "value_evals": 0, "errors": {}}}},
         "net-ae": {7: {"gd": {"grad_evals": 1, "value_evals": 0,
                               "errors": {"gd/round1": "EvaluationError: f"}}}}}
+
+
+def test_traced_runs_aggregate_to_layer_quartiles():
+    us = [13.2, 22.3, 24.1, 16.5, 8.8]
+    layers = bench.aggregate({seed: bench.parse(_traced_stdout(u))[1]
+                              for seed, u in zip(bench.TRACED_SEEDS, us)})
+    assert layers["end_to_end"]["problems.gradient.us"] == pytest.approx(
+        {"median": 16.5, "q1": 13.2, "q3": 22.3, "n": 5, "unit": "us"})
+    assert layers["end_to_end"]["slo.iters"]["median"] == 500
+    assert [r["seed"] for r in layers["runs"]] == [1, 3, 5, 7, 9] and layers["correct"]
+
+
+def test_main_traces_five_seeds_each_next_to_its_untraced_run(tmp_path, monkeypatch):
+    calls = []
+
+    def run(workload, seed, trace):  # canned run.py output: no subprocess
+        calls.append((workload, seed, trace))
+        return _traced_stdout(float(seed), correct=seed != 9) if trace else _stdout(0.5, 100)
+
+    def experiments(tmp):  # one canned output_digest experiment per workload
+        from workloads import WORKLOADS
+        return ((7, name, "gd", tmp, {"errors": {}}, []) for name in WORKLOADS)
+
+    monkeypatch.setattr(bench, "run", run)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "output_digest",
+                        SimpleNamespace(SEEDS=(7, 3), experiments=experiments))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert bench.main(["--out", str(tmp_path / "BENCH.json")]) == 0
+    out = json.loads((tmp_path / "BENCH.json").read_text())
+    names = list(dict.fromkeys(w for w, _, _ in calls))  # WORKLOADS' order; the file sorts
+    assert sorted(names) == list(out["workloads"]) and len(names) == 3
+    assert calls == [(name, seed, trace) for seed in range(1, 11) for name in names
+                     for trace in ((0, 1) if seed % 2 else (0,))]
+    assert out["traced_seeds"] == [1, 3, 5, 7, 9] and "traced_seed" not in out
+    for w in out["workloads"].values():
+        assert w["layers"]["problems.gradient.us"] == {"median": 5.0, "q1": 3.0, "q3": 7.0,
+                                                       "n": 5, "unit": "us"}
+        assert w["layers_correct"] is False  # the seed-9 traced run failed its checks
+        assert w["end_to_end"]["solve_s.gd"]["n"] == 10

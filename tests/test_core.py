@@ -11,7 +11,7 @@ import sloopt.core
 from reference import fd_gradient
 from sloopt.baselines import BpgConfig, gd_fixed, run_bpg
 from sloopt.core import (CountingOracle, EvaluationError, ObjectiveOracle, SloConfig,
-                         Subroutine, Termination, as_vector, check_finite,
+                         Subroutine, Termination, as_vector, check_finite, checked_norm,
                          epoch_geometry, norm)
 from sloopt.problems import LinearProblem, QuadraticProblem, QuarticProblem
 
@@ -65,7 +65,16 @@ def test_check_finite_verdict_on_any_shape(v):
 @example(np.array([5e-324, -5e-324]))  # and here underflows to 0
 def test_norm_is_bit_identical_to_numpy(v):
     with np.errstate(over="ignore"):
-        assert norm(v).hex() == float(np.linalg.norm(v)).hex()
+        expected = float(np.linalg.norm(v)).hex()
+        assert norm(v).hex() == expected
+        assert checked_norm(v, v, "probe").hex() == expected  # a finite v passes its scan
+        if math.isfinite(norm(v)):  # then v is not scanned: a scan of this one would raise
+            assert checked_norm(v, np.full_like(v, np.nan)).hex() == expected
+        for bad, i in [(bad, i) for bad in (math.nan, math.inf, -math.inf) for i in (0, -1)]:
+            w = v.copy()
+            w[i] = bad
+            with pytest.raises(EvaluationError, match="^probe contains NaN or infinite entries$"):
+                checked_norm(w, w, "probe")
 
 
 def test_counting_oracle_memoizes_repeat_queries():
@@ -139,7 +148,7 @@ class GradientLog(ObjectiveOracle):
 @pytest.mark.parametrize("method", ["gd", "bpg", "pgd", "ngd", "ls"])
 def test_trace_columns_are_the_norms_at_each_row_iterate(method):
     # With analytic constants no method samples gradients, so the k-th base gradient
-    # point is the iterate of the rows whose cum_grad_evals is k.
+    # point is the iterate of the rows whose grad_evals is k.
     from sloopt.slo import run_slo
 
     prob = GradientLog(QuarticProblem(6))
@@ -157,7 +166,7 @@ def test_trace_columns_are_the_norms_at_each_row_iterate(method):
     assert len(prob.points) == res.grad_evals and len(res.trace) > 10
     anchor = None
     for rec in res.trace:
-        x = prob.points[rec.cum_grad_evals - 1]
+        x = prob.points[rec.grad_evals - 1]
         if rec.iter == 0:
             anchor = x
         assert rec.f_value == prob.base.value(x)
@@ -395,6 +404,6 @@ def test_every_stop_returns_its_last_trace_row(kind, monkeypatch):
     assert res.epochs_completed == last.epoch - 1
     assert repr(prob.value(res.final_point)) == repr(last.f_value)
     if kind in ("eval_budget_in_a_step", "eval_budget_at_the_next_row"):
-        assert res.grad_evals > last.cum_grad_evals  # no row records the last step's evaluations
+        assert res.grad_evals > last.grad_evals  # no row records the last step's evaluations
     else:
-        assert res.grad_evals == last.cum_grad_evals
+        assert res.grad_evals == last.grad_evals

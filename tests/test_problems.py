@@ -77,7 +77,7 @@ def test_planted_gradient_needs_no_dense_tensor():
 def test_net_autoencoder_perfect_identity():
     X = np.random.default_rng(0).standard_normal((3, 10))
     prob = LinearNetProblem(X, [(3, 3), (3, 3)], "autoencoder")
-    w = prob.flatten([np.eye(3), np.eye(3)])
+    w = np.concatenate([np.eye(3).ravel(), np.eye(3).ravel()])
     assert prob.value(w) == 0.0
 
 
@@ -86,7 +86,7 @@ def test_net_supervised_zero_at_planted_weights():
     X = np.random.default_rng(1).standard_normal((6, 20))
     Y, mats = generate_planted_labels(shapes, X, 2)
     prob = LinearNetProblem(X, shapes, "supervised", Y)
-    assert prob.value(prob.flatten(mats)) < 1e-20
+    assert prob.value(np.concatenate([m.ravel() for m in mats])) < 1e-20
 
 
 def test_net_gradient_matches_finite_differences():

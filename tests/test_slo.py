@@ -27,7 +27,7 @@ def test_start_at_stationary_point_returns_immediately():
     res = run_slo(QuarticProblem(1), np.array([1e-3]), cfg)
     assert res.termination is Termination.GradientTolerance
     assert res.epochs_completed == 0
-    assert len(res.trace) == 1 and res.trace[0].cum_grad_evals == 1
+    assert len(res.trace) == 1 and res.trace[0].grad_evals == 1
 
 
 def test_quartic_gp_run_reaches_tolerance():
@@ -182,7 +182,7 @@ def test_start_that_meets_the_tolerance_spends_no_estimate(config):
     grads = _log_calls(prob, "gradient")
     res = run_slo(prob, comps.reshape(-1), config)
     assert res.termination is Termination.GradientTolerance
-    assert len(grads) == 1 and res.trace[-1].cum_grad_evals == 1
+    assert len(grads) == 1 and res.trace[-1].grad_evals == 1
 
 
 def test_ls_steps_reuse_the_traced_value(monkeypatch):
@@ -327,7 +327,7 @@ def test_eval_budget_is_a_hard_cap_inside_the_agp_inner_loop(monkeypatch):
     res = run_slo(prob, np.full(prob.dim, 0.3), agp_config(max_total_grad_evals=20))
     assert raised == ["_BudgetSpent"]
     assert res.termination is Termination.EvalBudget
-    assert len(grads) == 20 and res.trace[-1].cum_grad_evals < 8
+    assert len(grads) == 20 and res.trace[-1].grad_evals < 8
     last = res.trace[-1]
     assert (res.final_grad_norm, prob.value(res.final_point)) == (last.grad_norm, last.f_value)
     assert res.epochs_completed == last.epoch - 1 and res.epochs_completed > 0
@@ -337,7 +337,7 @@ def test_eval_budget_termination():
     cfg = gp_config(max_total_grad_evals=5)
     res = run_slo(QuarticProblem(1), np.array([1.0]), cfg)
     assert res.termination is Termination.EvalBudget
-    assert res.trace[-1].cum_grad_evals >= 5
+    assert res.trace[-1].grad_evals >= 5
 
 
 def test_total_travel_bound():

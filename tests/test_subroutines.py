@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import BAD, GeneralQuadratic, with_bad
 from sloopt.core import CountingOracle, EvaluationError, ObjectiveOracle, project_ball
 from sloopt.problems import LinearProblem, QuadraticProblem, QuarticProblem
 from sloopt.subroutines import (MAX_BACKTRACKS, BacktrackBudgetError, DirectionError,
@@ -179,19 +180,6 @@ def test_ls_params_accept_the_closed_ends():
     assert (delta, backtracks) == (1.0, 0) and out[0] == 0.0
 
 
-class _Quadratic(ObjectiveOracle):
-    """f(x) = x^T A x / 2."""
-
-    def __init__(self, a):
-        self.a, self.dim = a, len(a)
-
-    def value(self, x):
-        return float(0.5 * x @ (self.a @ x))
-
-    def gradient(self, x):
-        return self.a @ x
-
-
 unit = st.floats(-1.0, 1.0)
 
 
@@ -207,7 +195,7 @@ def test_ls_from_any_start_index_matches_the_default_start_on_convex_quadratics(
     # too while the steps stay far above the rounding of x; x within delta_bar * 2^-20 of
     # the minimum keeps the shortest step, delta_bar * 2^-60, 2^40 times above it.
     m, u = (np.array(v) for v in problem)
-    oracle = CountingOracle(_Quadratic(m @ m.T + 0.25 * np.eye(len(u))))
+    oracle = CountingOracle(GeneralQuadratic(m @ m.T + 0.25 * np.eye(len(u))))
     x = u * (delta_bar * 2.0**-20)
     g = oracle.gradient(x)
     params = LsParams(sigma=sigma, delta_bar=delta_bar)
@@ -274,23 +262,16 @@ def test_ls_rejects_a_start_index_off_the_grid(j_start):
 
 # a_gp reads the finiteness of x and of x+ off their distances to the center, and a_ls that of
 # the direction off its norm; a scan runs only when that number is not finite. An oracle
-# without ``_at`` (``_Quadratic``) makes no check of its own that could hide a missing scan.
-BAD = [(bad, i) for bad in (math.nan, math.inf, -math.inf) for i in (0, 2, 4)]
-
-
-def _with(bad, i, base=None):
-    v = np.full(5, 0.1) if base is None else base.copy()
-    v[i] = bad
-    return v
+# without ``_at`` (``GeneralQuadratic``) makes no check that could hide a missing scan.
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("certified", [False, True], ids=["analytic", "certified"])
 @pytest.mark.parametrize("bad, i", BAD)
 def test_gp_rejects_a_non_finite_start_before_any_evaluation(certified, bad, i):
-    oracle = CountingOracle(_Quadratic(np.eye(5)))
+    oracle = CountingOracle(GeneralQuadratic(np.eye(5)))
     with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
-        a_gp(oracle, _with(bad, i), np.zeros(5), 0.5, 1.0, grad=np.full(5, 0.1),
+        a_gp(oracle, with_bad(bad, i), np.zeros(5), 0.5, 1.0, grad=np.full(5, 0.1),
              f_x=0.0 if certified else None)
     assert (oracle.grad_evals, oracle.value_evals) == (0, 0)
 
@@ -299,16 +280,16 @@ def test_gp_rejects_a_non_finite_start_before_any_evaluation(certified, bad, i):
 @pytest.mark.parametrize("i", [0, 2, 4])
 def test_gp_rejects_a_nan_step(i):
     with pytest.raises(EvaluationError, match="^a_gp output contains NaN or infinite entries$"):
-        a_gp(_Quadratic(np.eye(5)), np.zeros(5), np.zeros(5), 0.5, 1.0,
-             grad=_with(math.nan, i))
+        a_gp(GeneralQuadratic(np.eye(5)), np.zeros(5), np.zeros(5), 0.5, 1.0,
+             grad=with_bad(math.nan, i))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad, i", BAD)
 def test_ls_rejects_a_non_finite_direction_before_any_evaluation(bad, i):
-    oracle = CountingOracle(_Quadratic(np.eye(5)))
+    oracle = CountingOracle(GeneralQuadratic(np.eye(5)))
     with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
-        a_ls(oracle, np.full(5, 0.1), _with(bad, i, np.full(5, -0.1)), LsParams(),
+        a_ls(oracle, np.full(5, 0.1), with_bad(bad, i, np.full(5, -0.1)), LsParams(),
              grad=np.full(5, 0.1), f_x=0.025)
     assert (oracle.grad_evals, oracle.value_evals) == (0, 0)
 
@@ -360,7 +341,7 @@ def test_gp_returns_the_projected_step_bit_for_bit(vectors, r, where, frac, eta,
     u = u / n if (n := np.linalg.norm(u)) > 0 else np.eye(u.size)[0]
     scale = {"inside": frac, "on": 1.0, "just outside": 1 + 5e-13}[where]
     x = center + (r * scale) * u
-    oracle = _Quadratic(np.eye(x.size))
+    oracle = GeneralQuadratic(np.eye(x.size))
     f_x = oracle.value(x) if certified else None
     expect = _gp_reference(oracle, x, center, eta, r, g, f_x)
     if expect is None:  # g is no gradient of f here, and no halving certified the step
@@ -377,9 +358,9 @@ def test_gp_returns_the_projected_step_bit_for_bit(vectors, r, where, frac, eta,
 @pytest.mark.parametrize("with_grad", [False, True], ids=["oracle", "grad"])
 @pytest.mark.parametrize("bad, i", BAD)
 def test_ng_rejects_a_non_finite_start_before_any_evaluation(with_grad, d, bad, i):
-    oracle = CountingOracle(_Quadratic(np.eye(5)))
+    oracle = CountingOracle(GeneralQuadratic(np.eye(5)))
     with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
-        a_ng(oracle, _with(bad, i), 1.0, d, grad=np.full(5, 0.1) if with_grad else None)
+        a_ng(oracle, with_bad(bad, i), 1.0, d, grad=np.full(5, 0.1) if with_grad else None)
     assert (oracle.grad_evals, oracle.value_evals) == (0, 0)
 
 
@@ -388,7 +369,7 @@ def test_ng_rejects_a_non_finite_start_before_any_evaluation(with_grad, d, bad, 
 def test_ng_scans_the_start_first_when_the_gradient_is_not_finite(bad, i):
     # ||grad|| = inf would make the step (d/inf) * inf = nan, with numpy's invalid-value warning
     with pytest.raises(EvaluationError, match="^vector contains NaN or infinite entries$"):
-        a_ng(_Quadratic(np.eye(5)), _with(bad, i), 1.0, 1e-3, grad=_with(math.inf, 4 - i))
+        a_ng(GeneralQuadratic(np.eye(5)), with_bad(bad, i), 1.0, 1e-3, grad=with_bad(math.inf, 4 - i))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -396,7 +377,7 @@ def test_ng_scans_the_start_first_when_the_gradient_is_not_finite(bad, i):
 def test_ng_rejects_a_nan_gradient_in_its_output(i):
     # ||grad|| = nan takes the normalized branch, whose step (d/nan) * grad is nan
     with pytest.raises(EvaluationError, match="^a_ng output contains NaN or infinite entries$"):
-        a_ng(_Quadratic(np.eye(5)), np.full(5, 0.1), 1.0, 1.0, grad=_with(math.nan, i))
+        a_ng(GeneralQuadratic(np.eye(5)), np.full(5, 0.1), 1.0, 1.0, grad=with_bad(math.nan, i))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf])
@@ -404,7 +385,7 @@ def test_ng_rejects_an_infinite_gradient_in_its_output(bad):
     # ||grad|| = inf makes the step (d/inf) * grad, and 0 * inf is nan
     with pytest.warns(RuntimeWarning, match="invalid value encountered in multiply"):
         with pytest.raises(EvaluationError, match="^a_ng output contains NaN or infinite entries$"):
-            a_ng(_Quadratic(np.eye(5)), np.full(5, 0.1), 1.0, 1.0, grad=_with(bad, 2))
+            a_ng(GeneralQuadratic(np.eye(5)), np.full(5, 0.1), 1.0, 1.0, grad=with_bad(bad, 2))
 
 
 def test_ng_on_finite_inputs_whose_norm_or_step_overflows():

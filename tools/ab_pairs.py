@@ -9,11 +9,12 @@ temporary directory with its own copy of the working tree's ``benchmarks/``,
 so the runs write nothing in the repository. The base runs first in even
 pairs (0, 2, ...) and second in odd ones.
 
-For every end-to-end metric that ``BENCHMARK.json`` declares, the tool prints
-each side's median and quartiles over the pairs, the change of the medians
-relative to the base, and the pairs the head wins (ties count for neither
-side). ``gain`` is ``yes`` when the head wins at least nine tenths of the
-pairs and its median is better than the base's by more than the base's
+Each run lasts ``--seconds``, by default the ``run_seconds`` that
+``BENCHMARK.json`` declares. For every end-to-end metric it declares, the tool
+prints each side's median and quartiles over the pairs, the change of the
+medians relative to the base, and the pairs the head wins (ties count for
+neither side). ``gain`` is ``yes`` when the head wins at least nine tenths of
+the pairs and its median is better than the base's by more than the base's
 interquartile range; ``-`` otherwise. A last line gives each side's
 ``correct`` runs and failed operations.
 """
@@ -87,17 +88,24 @@ def report(results: dict, metrics: list) -> list:
     return lines + [health]
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None):
+    """(args, the parsed BENCHMARK.json), whose ``run_seconds`` is the default of --seconds."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=40.0)
+    ap.add_argument("--seconds", type=float, default=float(benchmark["run_seconds"]),
+                    help="length of each run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return args, benchmark
+
+
+def main(argv=None) -> int:
+    args, benchmark = parse_args(argv)
     results = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         dirs = assemble(Path(tmp), args.base)
@@ -107,7 +115,7 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} {side} done", file=sys.stderr, flush=True)
     print(f"{args.workload} seed {args.seed}, {args.seconds:g} s runs, base {args.base} "
           f"vs the working tree, {args.pairs} pairs")
-    print("\n".join(report(results, metrics)))
+    print("\n".join(report(results, benchmark["end_to_end"])))
     return 0
 
 

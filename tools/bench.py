@@ -1,6 +1,6 @@
 """Writes ``BENCH_<n>.json``: the benchmark's end-to-end and per-layer figures of the working tree.
 
-    python3 tools/bench.py --out BENCH_1.json
+    python3 tools/bench.py --out BENCH_2.json
 
 Runs, each ``benchmarks/run.py`` call in its own subprocess on the working tree's ``src/``:
 
@@ -8,14 +8,16 @@ Runs, each ``benchmarks/run.py`` call in its own subprocess on the working tree'
   ``benchmarks/workloads.py`` and seeds 1-10. For each workload and end-to-end metric the file
   holds the median, the quartiles (``ab_pairs.quartiles``) and the number of runs; for each run,
   its ``correct`` flag and its attempted and failed operations.
-- One ``--trace 1`` run per workload at seed 7, whose per-layer figures the file holds.
+- ``--trace 1`` at seeds 1, 3, 5, 7 and 9 (``TRACED_SEEDS``), each right after that seed's
+  untraced run of the workload. For each workload and per-layer figure the file holds the median,
+  the quartiles and the number of traced runs, aggregated as the end-to-end metrics are.
 - Exact counts: the ``sloopt.harness.run_experiment`` calls of ``tools/output_digest.py`` (one
   per seed 7 and 3, workload and method), in this process. For each, the sums over its rounds
   of ``RunResult.grad_evals`` and ``RunResult.value_evals``, and its errors.
 
 The environment (Python, numpy, BLAS, CPU count, ``git rev-parse HEAD`` and whether ``src/`` and
 ``benchmarks/`` differ from it) comes first. Every run lasts ``SECONDS``, fixed so that the
-figures of two ``BENCH_<n>.json`` files compare; the whole takes about 4 minutes on a 2-CPU
+figures of two ``BENCH_<n>.json`` files compare; the whole takes about 6 minutes on a 2-CPU
 machine. Times only show direction; ``tools/ab_pairs.py`` decides whether a change of them is
 a gain. The counts are exact and repeat.
 """
@@ -37,7 +39,7 @@ from ab_pairs import quartiles  # noqa: E402
 
 SECONDS = 5.0  # the --seconds of every run.py call
 SEEDS = range(1, 11)
-TRACED_SEED = 7
+TRACED_SEEDS = SEEDS[::2]  # spread over the whole, so slow spells touch both kinds of run alike
 
 
 def run(workload: str, seed: int, trace: int) -> str:
@@ -100,23 +102,24 @@ def main(argv=None) -> int:
     import output_digest
     head = git("rev-parse", "HEAD")
     clean = not git("status", "--porcelain", "--", "src", "benchmarks")
-    untraced = {name: {} for name in WORKLOADS}
+    untraced, traced = {name: {} for name in WORKLOADS}, {name: {} for name in WORKLOADS}
     environment = None
     for seed in SEEDS:  # each seed runs every workload, so slow spells touch them alike
         for name in WORKLOADS:
             report, untraced[name][seed] = parse(run(name, seed, 0))
             environment = environment or report["environment"]
+            if seed in TRACED_SEEDS:
+                traced[name][seed] = parse(run(name, seed, 1))[1]
             print(f"{name} seed {seed} done", file=sys.stderr, flush=True)
     out = {"environment": {**environment, "git_head": head, "src_and_benchmarks_clean": clean},
-           "seconds": SECONDS, "seeds": list(SEEDS), "traced_seed": TRACED_SEED,
+           "seconds": SECONDS, "seeds": list(SEEDS), "traced_seeds": list(TRACED_SEEDS),
            "count_seeds": list(output_digest.SEEDS), "workloads": {}}
     counts = exact_counts(output_digest.experiments)
     for name in WORKLOADS:
-        layers = parse(run(name, TRACED_SEED, 1))[1]
-        out["workloads"][name] = {**aggregate(untraced[name]), "layers": layers["metrics"],
+        layers = aggregate(traced[name])
+        out["workloads"][name] = {**aggregate(untraced[name]), "layers": layers["end_to_end"],
                                   "layers_correct": layers["correct"],
                                   "exact_counts": counts[name]}
-        print(f"{name} traced run done", file=sys.stderr, flush=True)
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 
